@@ -37,7 +37,7 @@ struct ManualResult {
   double availability = 0.0;
 };
 
-ManualResult run_manual(std::unique_ptr<cluster::PowerScheme> scheme) {
+ManualResult run_manual(std::unique_ptr<cluster::ControlStage> scheme) {
   sim::Engine engine;
   const auto catalog = workload::Catalog::standard();
   cluster::ClusterConfig cc;

@@ -71,7 +71,7 @@ Outcome run(bool autoscale) {
   out.attacked_power = cluster.total_power();
   out.attacked_serving =
       scaler ? scaler->serving_count() : cluster.num_servers();
-  out.energy = cluster.total_energy();
+  out.energy = cluster.data().total_energy();
   return out;
 }
 

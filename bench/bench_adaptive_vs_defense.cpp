@@ -66,7 +66,7 @@ Outcome run(scenario::SchemeKind scheme) {
   Outcome out;
   out.attacker_believes_success = attacker.emergency_achieved();
   out.final_rate = attacker.current_rate();
-  out.firewall_bans = cluster.firewall()->total_bans();
+  out.firewall_bans = cluster.data().firewall()->total_bans();
   out.normal_p90 =
       cluster.request_metrics().normal_latency_ms().percentile(90);
   out.attack_mean_ms =

@@ -78,7 +78,7 @@ Row run(const std::string& name, workload::Mixture mixture, double rate,
 
   Row row;
   row.name = name;
-  row.switch_drop = cluster.network_switch()->drop_rate();
+  row.switch_drop = cluster.data().network_switch()->drop_rate();
   const auto& n = cluster.request_metrics().normal_counts();
   row.normal_timeout =
       n.terminal() == 0
@@ -87,7 +87,7 @@ Row run(const std::string& name, workload::Mixture mixture, double rate,
                 static_cast<double>(n.terminal());
   row.mean_power = Watts{power_probe.stats().mean()};
   row.violations = cluster.slot_stats().violation_slots;
-  row.bans = cluster.firewall()->total_bans();
+  row.bans = cluster.data().firewall()->total_bans();
   return row;
 }
 

@@ -65,7 +65,7 @@ int main() {
             << " rps/agent vs " << firewall.threshold_rps
             << " rps threshold)\n";
   std::cout << "firewall bans during the whole campaign: "
-            << cluster.firewall()->total_bans() << "\n";
+            << cluster.data().firewall()->total_bans() << "\n";
   std::cout << "victim cluster throttled down to level "
             << cluster.server(0).level() << " (of "
             << cluster.ladder().max_level() << ")\n";
@@ -76,7 +76,7 @@ int main() {
                attacker.current_rate() / config.num_agents <
                    firewall.threshold_rps);
   bench::shape("the firewall never detects the attack",
-               cluster.firewall()->total_bans() == 0);
+               cluster.data().firewall()->total_bans() == 0);
   bench::shape("the victim was forced to throttle (power emergency)",
                cluster.server(0).level() < cluster.ladder().max_level() ||
                    cluster.server(3).level() < cluster.ladder().max_level());

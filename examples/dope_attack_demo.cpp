@@ -76,7 +76,7 @@ int main() {
               attack::phase_name(attacker.phase()));
   outcome.row("final attack rate (rps)", attacker.current_rate());
   outcome.row("firewall bans",
-              static_cast<long long>(cluster.firewall()->total_bans()));
+              static_cast<long long>(cluster.data().firewall()->total_bans()));
   outcome.row("budget (W)", cluster.budget().value());
   outcome.row("peak power seen (W)", power_probe.stats().max());
   outcome.row("victim DVFS level (server 0)",

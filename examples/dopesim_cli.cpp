@@ -46,15 +46,16 @@ cluster
   --slot-ms MS         management slot (default 1000)
 
 site (multi-zone; see docs/SITE.md)
-  --zones N            zone count (default 1 = classic single cluster;
-                       >= 2 puts N identical zones behind a global LB,
-                       each with --servers servers and its own scheme)
+  --zones N            zone count (default 1 = the paper's single
+                       cluster; >= 2 puts N identical zones behind a
+                       global LB, each with --servers servers and its
+                       own scheme)
   --glb POLICY         weighted | least-loaded | affinity (default
                        weighted)
   --divider KIND       static | demand | headroom — how the facility
                        budget is split across zones (default static)
   --attack-zone Z      concentrate attack traffic on zone Z's front
-                       door instead of the global LB
+                       door instead of the global LB (0 <= Z < N)
 
 scheme
   --scheme NAME        none | capping | shaving | token | antidope
@@ -326,6 +327,12 @@ int main(int argc, char** argv) {
     } else {
       fail("unknown flag: " + flag);
     }
+  }
+  if (config.attack_zone < -1 ||
+      config.attack_zone >= static_cast<int>(config.num_zones)) {
+    fail("--attack-zone " + std::to_string(config.attack_zone) +
+         " is outside the site's " + std::to_string(config.num_zones) +
+         " zone(s)");
   }
 
   if (sweep_mode) {

@@ -63,7 +63,8 @@ int main() {
   table.row("p90 latency (ms)", latency.percentile(90));
   table.row("p99 latency (ms)", latency.percentile(99));
   table.row("power budget (W)", cluster.budget().value());
-  table.row("mean demand last slot (W)", cluster.last_slot_demand().value());
+  table.row("mean demand last slot (W)",
+            cluster.power().last_slot_demand().value());
   table.row("energy from utility (J)",
             cluster.energy_account().utility.value());
   table.row("energy from battery (J)",

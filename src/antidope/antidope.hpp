@@ -25,7 +25,7 @@
 #include "antidope/pdf.hpp"
 #include "antidope/suspect_list.hpp"
 #include "cluster/cluster.hpp"
-#include "cluster/scheme.hpp"
+#include "cluster/stage.hpp"
 
 namespace dope::obs {
 class Counter;
@@ -63,7 +63,7 @@ struct AntiDopeConfig {
 };
 
 /// The Anti-DOPE power scheme; install into a Cluster.
-class AntiDopeScheme final : public cluster::PowerScheme {
+class AntiDopeScheme final : public cluster::ControlStage {
  public:
   explicit AntiDopeScheme(AntiDopeConfig config = {});
 

@@ -15,7 +15,7 @@
 
 #include "antidope/power_classes.hpp"
 #include "cluster/cluster.hpp"
-#include "cluster/scheme.hpp"
+#include "cluster/stage.hpp"
 #include "net/load_balancer.hpp"
 #include "schemes/util.hpp"
 
@@ -35,7 +35,7 @@ struct GradedConfig {
 };
 
 /// n-pool, graded-throttling Anti-DOPE.
-class GradedAntiDopeScheme final : public cluster::PowerScheme {
+class GradedAntiDopeScheme final : public cluster::ControlStage {
  public:
   explicit GradedAntiDopeScheme(GradedConfig config = {});
 

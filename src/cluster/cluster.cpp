@@ -21,6 +21,11 @@ const char* outcome_label(workload::RequestOutcome outcome) {
   return "?";
 }
 
+std::string zone_name(const char* base, int zone) {
+  if (zone < 0) return base;
+  return std::string(base) + ".zone" + std::to_string(zone);
+}
+
 Cluster::Cluster(sim::Engine& engine, const workload::Catalog& catalog,
                  ClusterConfig config)
     : engine_(engine),
@@ -63,7 +68,7 @@ void Cluster::bind_obs() {
 
 Cluster::~Cluster() { slot_task_.stop(); }
 
-void Cluster::install_scheme(std::unique_ptr<PowerScheme> scheme) {
+void Cluster::install_scheme(std::unique_ptr<ControlStage> scheme) {
   DOPE_REQUIRE(scheme != nullptr, "scheme must not be null");
   control_.install(std::move(scheme));
 }

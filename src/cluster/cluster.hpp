@@ -12,18 +12,20 @@
 // The Cluster itself is the composition root: it owns the three planes,
 // the request metrics, and the management-slot periodic that drives
 // `power.run_slot` followed by `control.on_slot`. Schemes and tests reach
-// the planes through `data()` / `power()` / `control()`; the legacy
-// accessors (`servers()`, `budget()`, `battery()`, ...) delegate and are
-// kept so the narrow-interface refactor stays source-compatible.
+// the planes through `data()` / `power()` / `control()`. The few
+// delegating accessors left (`servers()`, `budget()`, `battery()`,
+// `total_power()`, ...) are the ones perfbench/traced.cpp calls; removing
+// them waits for a benchmark change that migrates that file.
 //
-// Inside a `site::Site` each zone is one Cluster with `config.zone >= 0`;
-// zone-labelled metrics, trace fields, and watchdog signal suffixes are
-// emitted only then, so a standalone cluster's exports are byte-identical
-// to the pre-plane layout.
+// Inside a multi-zone `site::Site` each zone is one Cluster with
+// `config.zone >= 0`; zone-labelled metrics, trace fields, and watchdog
+// signal suffixes (`zone_name`) are emitted only then, so a standalone or
+// one-zone cluster's exports are byte-identical to the pre-plane layout.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "battery/battery.hpp"
@@ -89,6 +91,11 @@ struct ClusterConfig {
 /// Stable label for a terminal outcome (metrics label / trace payload).
 const char* outcome_label(workload::RequestOutcome outcome);
 
+/// Per-zone name of a watchdog signal, time series or alert rule: `base`
+/// as-is for a standalone cluster (`zone < 0`), else ".zone<N>"-suffixed
+/// ("cluster.slot_demand_w.zone2") so zones sharing one hub stay distinct.
+std::string zone_name(const char* base, int zone);
+
 /// A power-constrained server cluster under test.
 class Cluster {
  public:
@@ -109,10 +116,7 @@ class Cluster {
 
   /// Installs `scheme` as the *only* control stage (replacing any
   /// existing stack). Equivalent to `control().install(...)`.
-  void install_scheme(std::unique_ptr<PowerScheme> scheme);
-  /// First stage of the control pipeline (nullptr when empty); kept for
-  /// single-scheme callers. Multi-stage users go through `control()`.
-  PowerScheme* scheme() { return control_.front(); }
+  void install_scheme(std::unique_ptr<ControlStage> scheme);
 
   // --- request path ---
   /// Edge entry point for generated traffic.
@@ -133,26 +137,11 @@ class Cluster {
   server::ServerNode& server(std::size_t i) { return data_.server(i); }
   std::size_t num_servers() const { return data_.num_servers(); }
 
-  /// Aggregate nameplate rating (watts).
-  Watts total_nameplate() const { return power_.total_nameplate(); }
   /// Facility power budget (watts).
   Watts budget() const { return power_.budget(); }
   /// Instantaneous aggregate power right now.
   Watts total_power() const { return data_.total_power(); }
-  /// Average aggregate power over the last completed slot.
-  Watts last_slot_demand() const { return power_.last_slot_demand(); }
-  /// Exact aggregate energy consumed by all servers so far.
-  Joules total_energy() const { return data_.total_energy(); }
-
   battery::Battery* battery() { return power_.battery(); }
-  net::Firewall* firewall() { return data_.firewall(); }
-  net::Switch* network_switch() { return data_.network_switch(); }
-  power::CircuitBreaker* breaker() { return power_.breaker(); }
-  /// True while a breaker trip has the cluster dark.
-  bool in_outage() const { return power_.in_outage(); }
-  net::LoadBalancer& default_balancer() {
-    return data_.default_balancer();
-  }
 
   // --- metrics ---
   metrics::RequestMetrics& request_metrics() { return request_metrics_; }
@@ -175,8 +164,8 @@ class Cluster {
   void run_for(Duration d);
 
   /// Signal names the cluster feeds to an attached watchdog, one sample
-  /// per management slot (see docs/OBSERVABILITY.md). Inside a Site each
-  /// zone suffixes these with ".zone<N>".
+  /// per management slot (see docs/OBSERVABILITY.md). Inside a multi-zone
+  /// Site each zone suffixes these with ".zone<N>" (`zone_name`).
   static constexpr const char* kSignalSlotDemand = "cluster.slot_demand_w";
   static constexpr const char* kSignalUtility = "cluster.utility_w";
   static constexpr const char* kSignalBatterySoc = "battery.soc";

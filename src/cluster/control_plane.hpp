@@ -1,6 +1,6 @@
 // Control plane: an ordered, deterministic pipeline of ControlStages.
 //
-// Replaces the historical single-`PowerScheme` slot hook. Stages are
+// Replaces the historical single-scheme slot hook. Stages are
 // invoked strictly in installation order at each plug point (admit /
 // route / on_slot), so two stacks that differ only in order are two
 // *different* — but each individually deterministic — control policies.

@@ -11,17 +11,6 @@
 
 namespace dope::cluster {
 
-namespace {
-
-/// Series name for one zone: the base name as-is, or zone-suffixed
-/// inside a Site (matches the watchdog signal convention).
-std::string series_name(const char* base, int zone) {
-  if (zone < 0) return base;
-  return std::string(base) + ".zone" + std::to_string(zone);
-}
-
-}  // namespace
-
 DataPlane::DataPlane(Cluster& owner, const ClusterConfig& config)
     : owner_(owner), zone_(config.zone) {
   DOPE_REQUIRE(config.num_servers > 0, "cluster needs at least one server");
@@ -65,12 +54,12 @@ void DataPlane::bind_obs(obs::Hub* hub) {
   obs_forwarded_scheme_ = &reg.counter("net.forwarded", scheme_labels);
   obs_forwarded_default_ = &reg.counter("net.forwarded", default_labels);
   if (obs::TimeSeriesStore* ts = hub_->timeseries(); ts != nullptr) {
-    ts_queue_depth_ = &ts->series(series_name("fleet.queue_depth", zone_));
+    ts_queue_depth_ = &ts->series(zone_name("fleet.queue_depth", zone_));
     ts_active_slots_ =
-        &ts->series(series_name("fleet.active_slots", zone_));
+        &ts->series(zone_name("fleet.active_slots", zone_));
     if (firewall_) {
       ts_firewall_bans_ =
-          &ts->series(series_name("firewall.bans", zone_));
+          &ts->series(zone_name("firewall.bans", zone_));
     }
   }
 }

@@ -12,18 +12,6 @@
 
 namespace dope::cluster {
 
-namespace {
-
-/// Watchdog signal name for one zone: the standalone constant as-is, or
-/// zone-suffixed inside a Site ("cluster.slot_demand_w.zone2") so zones
-/// sharing one hub keep distinct breach streaks.
-std::string zone_signal(const char* base, int zone) {
-  if (zone < 0) return base;
-  return std::string(base) + ".zone" + std::to_string(zone);
-}
-
-}  // namespace
-
 PowerPlane::PowerPlane(Cluster& owner, DataPlane& data,
                        const ClusterConfig& config)
     : owner_(owner),
@@ -37,12 +25,12 @@ PowerPlane::PowerPlane(Cluster& owner, DataPlane& data,
                         config.server_spec.nameplate *
                             static_cast<double>(config.num_servers))),
       signal_slot_demand_(
-          zone_signal(Cluster::kSignalSlotDemand, config.zone)),
-      signal_utility_(zone_signal(Cluster::kSignalUtility, config.zone)),
+          zone_name(Cluster::kSignalSlotDemand, config.zone)),
+      signal_utility_(zone_name(Cluster::kSignalUtility, config.zone)),
       signal_battery_soc_(
-          zone_signal(Cluster::kSignalBatterySoc, config.zone)),
+          zone_name(Cluster::kSignalBatterySoc, config.zone)),
       signal_breaker_heat_(
-          zone_signal(Cluster::kSignalBreakerHeat, config.zone)) {
+          zone_name(Cluster::kSignalBreakerHeat, config.zone)) {
   if (config.battery_runtime > 0) {
     auto spec = battery::BatterySpec::sized_for(total_nameplate(),
                                                 config.battery_runtime);
@@ -83,15 +71,15 @@ void PowerPlane::bind_obs(obs::Hub* hub) {
   obs_overshoot_ = &reg.histo("cluster.overshoot_w", labels);
   if (obs::TimeSeriesStore* ts = hub_->timeseries(); ts != nullptr) {
     ts_demand_ = &ts->series(signal_slot_demand_);
-    ts_budget_ = &ts->series(zone_signal("cluster.budget_w", zone_));
-    ts_headroom_ = &ts->series(zone_signal("cluster.headroom_w", zone_));
+    ts_budget_ = &ts->series(zone_name("cluster.budget_w", zone_));
+    ts_headroom_ = &ts->series(zone_name("cluster.headroom_w", zone_));
     ts_utility_ = &ts->series(signal_utility_);
     ts_load_energy_ =
-        &ts->series(zone_signal("cluster.load_energy_j", zone_));
+        &ts->series(zone_name("cluster.load_energy_j", zone_));
     if (battery_) {
       ts_battery_soc_ = &ts->series(signal_battery_soc_);
       ts_battery_discharge_ =
-          &ts->series(zone_signal("battery.discharge_w", zone_));
+          &ts->series(zone_name("battery.discharge_w", zone_));
     }
     if (breaker_) ts_breaker_heat_ = &ts->series(signal_breaker_heat_);
   }

@@ -367,6 +367,12 @@ Repro read_repro(std::istream& in) {
     for (const auto& item : require(*site, "zone_weights").items) {
       c.zone_weights.push_back(as_double(item, "zone_weights[]"));
     }
+    if (c.num_zones < 1) fail("num_zones must be at least 1");
+    if (c.attack_zone < -1 || c.attack_zone >= static_cast<int>(c.num_zones)) {
+      fail("attack_zone " + std::to_string(c.attack_zone) +
+           " is outside the site's " + std::to_string(c.num_zones) +
+           " zone(s)");
+    }
   }
   c.duration = as_i64(require(config, "duration_us"), "duration_us");
   c.power_sample_interval = as_i64(

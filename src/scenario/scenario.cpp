@@ -26,7 +26,7 @@ std::string scheme_name(SchemeKind kind) {
   return "?";
 }
 
-std::unique_ptr<cluster::PowerScheme> make_scheme(
+std::unique_ptr<cluster::ControlStage> make_scheme(
     SchemeKind kind, const antidope::AntiDopeConfig& antidope_config) {
   switch (kind) {
     case SchemeKind::kNone:
@@ -45,7 +45,7 @@ std::unique_ptr<cluster::PowerScheme> make_scheme(
 
 namespace {
 
-/// Observability setup shared by both paths: the watchdog hysteresis
+/// Observability setup for a run: the watchdog hysteresis
 /// override (which must land before the default rules are installed)
 /// and, when a FlightRecorder is attached, the run context and the
 /// Anti-DOPE suspect classes stamped into incident bundles.
@@ -84,15 +84,16 @@ void configure_obs_run(const ScenarioConfig& config) {
   }
 }
 
-/// Multi-zone path: a `site::Site` of identical zones behind the GLB.
-/// Kept fully separate from the single-cluster path below so the
-/// latter's construction/registration order — and therefore its golden
-/// exports — cannot drift.
-ScenarioResult run_site_scenario(const ScenarioConfig& config) {
+}  // namespace
+
+ScenarioResult run_scenario(const ScenarioConfig& config) {
+  DOPE_REQUIRE(config.duration > 0, "scenario duration must be positive");
+  DOPE_REQUIRE(config.num_zones >= 1, "scenario needs at least one zone");
   DOPE_REQUIRE(config.zone_weights.empty() ||
                    config.zone_weights.size() == config.num_zones,
                "zone_weights must be empty or match num_zones");
-  DOPE_REQUIRE(config.attack_zone < static_cast<int>(config.num_zones),
+  DOPE_REQUIRE(config.attack_zone >= -1 &&
+                   config.attack_zone < static_cast<int>(config.num_zones),
                "attack_zone outside the site");
 
   sim::Engine engine;
@@ -103,54 +104,56 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
   configure_obs_run(config);
   const auto catalog = workload::Catalog::standard();
 
+  // A single cluster is the one-zone site (see site::SiteConfig).
   site::SiteConfig sc;
-  sc.zones.reserve(config.num_zones);
+  sc.zones.resize(config.num_zones);
   for (std::size_t z = 0; z < config.num_zones; ++z) {
-    site::ZoneConfig zone;
-    zone.cluster.num_servers = config.num_servers;
-    zone.cluster.budget_level = config.budget;
-    zone.cluster.battery_runtime = config.battery_runtime;
-    zone.cluster.firewall = config.firewall;
-    zone.cluster.breaker = config.breaker;
-    zone.cluster.slot = config.slot;
+    cluster::ClusterConfig& zone = sc.zones[z].cluster;
+    zone.num_servers = config.num_servers;
+    zone.budget_level = config.budget;
+    zone.battery_runtime = config.battery_runtime;
+    zone.firewall = config.firewall;
+    zone.breaker = config.breaker;
+    zone.slot = config.slot;
     if (!config.zone_weights.empty()) {
-      zone.weight = config.zone_weights[z];
+      sc.zones[z].weight = config.zone_weights[z];
     }
-    sc.zones.push_back(std::move(zone));
   }
   // A positive override provisions the *facility*, not each zone.
   sc.facility_budget = config.budget_override;
   sc.divider = config.site_divider;
   sc.policy = config.glb_policy;
   sc.reapportion_period = config.reapportion_period;
-  site::Site site(engine, catalog, sc);
+  site::Site site(engine, catalog, std::move(sc));
 
   for (std::size_t z = 0; z < site.num_zones(); ++z) {
-    site.zone(z).install_scheme(
-        make_scheme(config.scheme, config.antidope));
+    site.zone(z).install_scheme(make_scheme(config.scheme, config.antidope));
   }
 
   if (config.obs != nullptr && config.default_alert_rules) {
     auto& dog = config.obs->watchdog();
     for (std::size_t z = 0; z < site.num_zones(); ++z) {
-      const std::string suffix = ".zone" + std::to_string(z);
+      cluster::Cluster& zone = site.zone(z);
+      const int id = zone.zone();
       const double share = site.zone_budgets()[z].value();
-      dog.add_rule({.name = "budget-violated" + suffix,
-                    .signal = cluster::Cluster::kSignalSlotDemand + suffix,
+      dog.add_rule({.name = cluster::zone_name("budget-violated", id),
+                    .signal = cluster::zone_name(
+                        cluster::Cluster::kSignalSlotDemand, id),
                     .cmp = obs::AlertCmp::kAbove,
                     .threshold = share,
                     .consecutive = 5,
                     .clear_after = 5});
-      dog.add_rule({.name = "utility-over-budget" + suffix,
-                    .signal = cluster::Cluster::kSignalUtility + suffix,
+      dog.add_rule({.name = cluster::zone_name("utility-over-budget", id),
+                    .signal = cluster::zone_name(
+                        cluster::Cluster::kSignalUtility, id),
                     .cmp = obs::AlertCmp::kAbove,
                     .threshold = share,
                     .consecutive = 3,
                     .clear_after = 3});
-      if (site.zone(z).battery() != nullptr) {
-        dog.add_rule({.name = "battery-low" + suffix,
-                      .signal =
-                          cluster::Cluster::kSignalBatterySoc + suffix,
+      if (zone.battery() != nullptr) {
+        dog.add_rule({.name = cluster::zone_name("battery-low", id),
+                      .signal = cluster::zone_name(
+                          cluster::Cluster::kSignalBatterySoc, id),
                       .cmp = obs::AlertCmp::kBelow,
                       .threshold = 0.25,
                       .consecutive = 1,
@@ -158,6 +161,9 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
       }
     }
     if (config.attack_rps > 0.0) {
+      // Fires while the observed flood runs at a meaningful fraction of
+      // its configured rate; the raise/clear pair lands in the trace, so
+      // attack onset is visible next to the power events it causes.
       dog.add_rule({.name = "attack-rate",
                     .signal = kSignalAttackRate,
                     .cmp = obs::AlertCmp::kAbove,
@@ -167,8 +173,10 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
     }
   }
 
-  // Scripted chaos, with the global server index split into
-  // (zone, server-in-zone).
+  // Scripted chaos: single-node power losses, with the global server
+  // index split into (zone, server-in-zone). The guards make the pair
+  // robust against a facility-wide breaker trip racing a scripted
+  // recovery (whichever path powered the node first wins).
   for (const auto& outage : config.node_outages) {
     DOPE_REQUIRE(
         outage.server < config.num_servers * site.num_zones(),
@@ -183,11 +191,12 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
     });
     const Duration reboot = cl->config().reboot_time;
     engine.schedule_at(outage.at + outage.down, [cl, idx, reboot] {
-      if (!cl->in_outage()) cl->server(idx).power_on(reboot);
+      if (!cl->power().in_outage()) cl->server(idx).power_on(reboot);
     });
   }
 
-  // Normal traffic enters through the global balancer.
+  // Normal traffic enters through the site's edge (the global balancer
+  // when there are several zones).
   std::unique_ptr<workload::TrafficGenerator> normal;
   if (config.normal_rps > 0.0 || !config.normal_rate_plan.empty()) {
     workload::GeneratorConfig gen;
@@ -205,7 +214,7 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
     }
   }
 
-  // Attack traffic: through the GLB, or concentrated on one zone's
+  // Attack traffic: through the edge, or concentrated on one zone's
   // regional front door.
   std::unique_ptr<workload::TrafficGenerator> attack;
   if (config.attack_rps > 0.0) {
@@ -260,8 +269,9 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
         });
   }
 
-  struct SiteProbe {
-    std::vector<std::size_t> min_level;
+  struct SlotProbe {
+    std::size_t min_level_seen = 0;
+    std::vector<std::size_t> zone_min_level;  // multi-zone runs only
     workload::TrafficGenerator* attack_gen = nullptr;
     obs::Watchdog* dog = nullptr;
     obs::Series* attack_series = nullptr;
@@ -271,8 +281,10 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
     double slot_seconds = 1.0;
     std::uint64_t prev_generated = 0;
   } probe;
-  probe.min_level.assign(site.num_zones(),
-                         site.zone(0).ladder().max_level());
+  probe.min_level_seen = site.zone(0).ladder().max_level();
+  if (site.num_zones() > 1) {
+    probe.zone_min_level.assign(site.num_zones(), probe.min_level_seen);
+  }
   if (config.obs != nullptr && attack != nullptr) {
     probe.attack_gen = attack.get();
     probe.dog = &config.obs->watchdog();
@@ -287,8 +299,13 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
   }
   auto level_probe = engine.every(config.slot, [&site, &probe, &engine] {
     for (std::size_t z = 0; z < site.num_zones(); ++z) {
-      for (auto* n : site.zone(z).servers()) {
-        probe.min_level[z] = std::min(probe.min_level[z], n->level());
+      cluster::Cluster& zone = site.zone(z);
+      for (std::size_t i = 0; i < zone.num_servers(); ++i) {
+        const std::size_t level = zone.server(i).level();
+        probe.min_level_seen = std::min(probe.min_level_seen, level);
+        if (!probe.zone_min_level.empty()) {
+          probe.zone_min_level[z] = std::min(probe.zone_min_level[z], level);
+        }
       }
     }
     if (probe.attack_gen != nullptr) {
@@ -337,7 +354,7 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
   result.power_timeline = power_probe.samples();
   Watts nameplate{0.0};
   for (std::size_t z = 0; z < site.num_zones(); ++z) {
-    nameplate += site.zone(z).total_nameplate();
+    nameplate += site.zone(z).power().total_nameplate();
   }
   result.power_samples_normalized.reserve(power_probe.samples().size());
   for (const auto& s : power_probe.samples()) {
@@ -348,10 +365,11 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
   }
 
   result.energy = site.aggregate_energy();
-  result.zones.reserve(site.num_zones());
+  // The per-zone breakdown is for multi-zone runs only.
+  const bool multi = site.num_zones() > 1;
+  if (multi) result.zones.reserve(site.num_zones());
   GHz freq_sum{0.0};
   std::size_t total_servers = 0;
-  result.min_level_seen = site.zone(0).ladder().max_level();
   for (std::size_t z = 0; z < site.num_zones(); ++z) {
     cluster::Cluster& zone = site.zone(z);
     if (zone.battery() != nullptr) {
@@ -368,259 +386,27 @@ ScenarioResult run_site_scenario(const ScenarioConfig& config) {
     result.slot_stats.outages += stats.outages;
     result.slot_stats.downtime += stats.downtime;
 
-    ZoneBreakdown breakdown;
-    breakdown.budget = site.zone_budgets()[z];
-    breakdown.availability = zone.request_metrics().availability();
-    breakdown.normal_counts = zone.request_metrics().normal_counts();
-    breakdown.violation_slots = stats.violation_slots;
-    breakdown.min_level_seen = probe.min_level[z];
-    breakdown.load_energy = zone.energy_account().load_total();
     GHz zone_freq{0.0};
-    for (auto* n : zone.servers()) {
-      zone_freq += zone.ladder().frequency(n->level());
+    for (std::size_t i = 0; i < zone.num_servers(); ++i) {
+      zone_freq += zone.ladder().frequency(zone.server(i).level());
     }
-    breakdown.final_mean_frequency =
-        zone_freq / static_cast<double>(zone.num_servers());
-    result.zones.push_back(breakdown);
-
+    if (multi) {
+      ZoneBreakdown breakdown;
+      breakdown.budget = site.zone_budgets()[z];
+      breakdown.availability = zone.request_metrics().availability();
+      breakdown.normal_counts = zone.request_metrics().normal_counts();
+      breakdown.violation_slots = stats.violation_slots;
+      breakdown.min_level_seen = probe.zone_min_level[z];
+      breakdown.load_energy = zone.energy_account().load_total();
+      breakdown.final_mean_frequency =
+          zone_freq / static_cast<double>(zone.num_servers());
+      result.zones.push_back(breakdown);
+    }
     freq_sum += zone_freq;
     total_servers += zone.num_servers();
-    result.min_level_seen =
-        std::min(result.min_level_seen, probe.min_level[z]);
   }
   result.final_mean_frequency =
       freq_sum / static_cast<double>(total_servers);
-  return result;
-}
-
-}  // namespace
-
-ScenarioResult run_scenario(const ScenarioConfig& config) {
-  DOPE_REQUIRE(config.duration > 0, "scenario duration must be positive");
-  DOPE_REQUIRE(config.num_zones >= 1, "scenario needs at least one zone");
-  if (config.num_zones > 1) return run_site_scenario(config);
-
-  sim::Engine engine;
-  engine.set_obs(config.obs);  // before any component construction
-  if (config.obs != nullptr && config.trace_cap > 0) {
-    config.obs->trace().set_max_events(config.trace_cap);
-  }
-  configure_obs_run(config);
-  const auto catalog = workload::Catalog::standard();
-
-  cluster::ClusterConfig cc;
-  cc.num_servers = config.num_servers;
-  cc.budget_level = config.budget;
-  cc.budget_override = config.budget_override;
-  cc.battery_runtime = config.battery_runtime;
-  cc.firewall = config.firewall;
-  cc.breaker = config.breaker;
-  cc.slot = config.slot;
-  cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(make_scheme(config.scheme, config.antidope));
-
-  if (config.obs != nullptr && config.default_alert_rules) {
-    auto& dog = config.obs->watchdog();
-    dog.add_rule({.name = "budget-violated",
-                  .signal = cluster::Cluster::kSignalSlotDemand,
-                  .cmp = obs::AlertCmp::kAbove,
-                  .threshold = cluster.budget().value(),
-                  .consecutive = 5,
-                  .clear_after = 5});
-    dog.add_rule({.name = "utility-over-budget",
-                  .signal = cluster::Cluster::kSignalUtility,
-                  .cmp = obs::AlertCmp::kAbove,
-                  .threshold = cluster.budget().value(),
-                  .consecutive = 3,
-                  .clear_after = 3});
-    if (cluster.battery() != nullptr) {
-      dog.add_rule({.name = "battery-low",
-                    .signal = cluster::Cluster::kSignalBatterySoc,
-                    .cmp = obs::AlertCmp::kBelow,
-                    .threshold = 0.25,
-                    .consecutive = 1,
-                    .clear_after = 3});
-    }
-    if (config.attack_rps > 0.0) {
-      // Fires while the observed flood runs at a meaningful fraction of
-      // its configured rate; the raise/clear pair lands in the trace, so
-      // attack onset is visible next to the power events it causes.
-      dog.add_rule({.name = "attack-rate",
-                    .signal = kSignalAttackRate,
-                    .cmp = obs::AlertCmp::kAbove,
-                    .threshold = 0.5 * config.attack_rps,
-                    .consecutive = 3,
-                    .clear_after = 3});
-    }
-  }
-
-  // Scripted chaos: single-node power losses. The guards make the pair
-  // robust against a facility-wide breaker trip racing a scripted
-  // recovery (whichever path powered the node first wins).
-  for (const auto& outage : config.node_outages) {
-    DOPE_REQUIRE(outage.server < cluster.num_servers(),
-                 "node outage names a server outside the cluster");
-    DOPE_REQUIRE(outage.at >= 0 && outage.down > 0,
-                 "node outage needs a non-negative start and a positive "
-                 "downtime");
-    cluster::Cluster* cl = &cluster;
-    const std::size_t idx = outage.server;
-    engine.schedule_at(outage.at, [cl, idx] {
-      cl->server(idx).power_off();
-    });
-    const Duration reboot = cc.reboot_time;
-    engine.schedule_at(outage.at + outage.down, [cl, idx, reboot] {
-      if (!cl->in_outage()) cl->server(idx).power_on(reboot);
-    });
-  }
-
-  // Normal background traffic.
-  std::unique_ptr<workload::TrafficGenerator> normal;
-  if (config.normal_rps > 0.0 || !config.normal_rate_plan.empty()) {
-    workload::GeneratorConfig gen;
-    gen.name = "normal";
-    gen.mixture = config.normal_mixture.value_or(
-        workload::Mixture::alios_normal());
-    gen.rate_rps = config.normal_rps;
-    gen.num_sources = config.normal_sources;
-    gen.source_base = 0;
-    gen.seed = config.seed * 2 + 1;
-    normal = std::make_unique<workload::TrafficGenerator>(
-        engine, catalog, gen, cluster.edge_sink());
-    if (!config.normal_rate_plan.empty()) {
-      apply_rate_plan(engine, *normal, config.normal_rate_plan);
-    }
-  }
-
-  // Attack traffic.
-  std::unique_ptr<workload::TrafficGenerator> attack;
-  if (config.attack_rps > 0.0) {
-    workload::GeneratorConfig gen;
-    gen.name = "attack";
-    gen.mixture = config.attack_mixture.value_or(
-        workload::Mixture::single(workload::Catalog::kKMeans));
-    gen.rate_rps = config.attack_rps;
-    gen.num_sources = config.attack_agents;
-    gen.source_base = 1'000'000;
-    gen.start = config.attack_start;
-    gen.stop = config.attack_stop;
-    gen.ground_truth_attack = true;
-    gen.seed = config.seed * 2 + 2;
-    attack = std::make_unique<workload::TrafficGenerator>(
-        engine, catalog, gen, cluster.edge_sink());
-    if (!config.attack_rate_plan.empty()) {
-      apply_rate_plan(engine, *attack, config.attack_rate_plan);
-    }
-  }
-
-  // Probes.
-  metrics::TimelineRecorder power_probe(
-      engine, config.power_sample_interval,
-      [&cluster] { return cluster.total_power().value(); });
-  std::unique_ptr<metrics::TimelineRecorder> soc_probe;
-  if (cluster.battery() != nullptr) {
-    soc_probe = std::make_unique<metrics::TimelineRecorder>(
-        engine, config.power_sample_interval,
-        [&cluster] { return cluster.battery()->soc(); });
-  }
-
-  // Track the deepest throttling any server experiences, and feed the
-  // offered attack rate to the watchdog once per slot. Bundled into one
-  // struct so the periodic's captures stay within the inline budget.
-  struct SlotProbe {
-    std::size_t min_level_seen = 0;
-    workload::TrafficGenerator* attack_gen = nullptr;
-    obs::Watchdog* dog = nullptr;
-    obs::Series* attack_series = nullptr;
-    obs::FlightRecorder* flight = nullptr;
-    Time dump_at = -1;
-    bool dumped = false;
-    double slot_seconds = 1.0;
-    std::uint64_t prev_generated = 0;
-  } probe;
-  probe.min_level_seen = cluster.ladder().max_level();
-  if (config.obs != nullptr && attack != nullptr) {
-    probe.attack_gen = attack.get();
-    probe.dog = &config.obs->watchdog();
-    probe.slot_seconds = to_seconds(config.slot);
-    if (auto* ts = config.obs->timeseries()) {
-      probe.attack_series = &ts->series(kSignalAttackRate);
-    }
-  }
-  if (config.obs != nullptr && config.dump_incident_at >= 0) {
-    probe.flight = config.obs->flight();
-    probe.dump_at = config.dump_incident_at;
-  }
-  auto level_probe = engine.every(config.slot, [&cluster, &probe, &engine] {
-    for (auto* n : cluster.servers()) {
-      probe.min_level_seen = std::min(probe.min_level_seen, n->level());
-    }
-    if (probe.attack_gen != nullptr) {
-      const std::uint64_t generated = probe.attack_gen->generated();
-      const double rate =
-          static_cast<double>(generated - probe.prev_generated) /
-          probe.slot_seconds;
-      probe.dog->observe(kSignalAttackRate, engine.now(), rate);
-      if (probe.attack_series != nullptr) {
-        probe.attack_series->sample(engine.now(), rate);
-      }
-      probe.prev_generated = generated;
-    }
-    if (probe.flight != nullptr && !probe.dumped &&
-        engine.now() >= probe.dump_at) {
-      probe.dumped = true;
-      probe.flight->dump_now(engine.now(), "manual");
-    }
-  });
-
-  engine.run_until(config.duration);
-  level_probe.stop();
-
-  // --- summarise ---
-  ScenarioResult result;
-  result.scheme = scheme_name(config.scheme);
-  result.budget = cluster.budget();
-
-  const auto& metrics = cluster.request_metrics();
-  const auto& latency = metrics.normal_latency_ms();
-  result.mean_ms = latency.mean();
-  result.p50_ms = latency.percentile(50);
-  result.p90_ms = latency.percentile(90);
-  result.p95_ms = latency.percentile(95);
-  result.p99_ms = latency.percentile(99);
-  result.min_ms = latency.min();
-  result.max_ms = latency.max();
-  result.availability = metrics.availability();
-  result.drop_fraction = metrics.drop_fraction();
-  result.normal_counts = metrics.normal_counts();
-  result.attack_counts = metrics.attack_counts();
-  result.attack_mean_ms = metrics.attack_latency_ms().mean();
-
-  result.mean_power = Watts{power_probe.stats().mean()};
-  result.peak_power = Watts{power_probe.stats().max()};
-  result.power_timeline = power_probe.samples();
-  result.power_samples_normalized.reserve(power_probe.samples().size());
-  const Watts nameplate = cluster.total_nameplate();
-  for (const auto& s : power_probe.samples()) {
-    result.power_samples_normalized.push_back(Watts{s.value} / nameplate);
-  }
-
-  if (soc_probe) {
-    result.battery_soc_timeline = soc_probe->samples();
-  }
-  if (cluster.battery() != nullptr) {
-    result.battery_discharged = cluster.battery()->total_discharged();
-  }
-
-  result.energy = cluster.energy_account();
-  result.slot_stats = cluster.slot_stats();
-
-  GHz freq_sum{0.0};
-  for (auto* n : cluster.servers()) {
-    freq_sum += cluster.ladder().frequency(n->level());
-  }
-  result.final_mean_frequency =
-      freq_sum / static_cast<double>(cluster.num_servers());
   result.min_level_seen = probe.min_level_seen;
   return result;
 }

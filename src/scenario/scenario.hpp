@@ -38,7 +38,7 @@ inline constexpr SchemeKind kEvaluatedSchemes[] = {
 std::string scheme_name(SchemeKind kind);
 
 /// Instantiates a scheme (Anti-DOPE takes its own sub-config).
-std::unique_ptr<cluster::PowerScheme> make_scheme(
+std::unique_ptr<cluster::ControlStage> make_scheme(
     SchemeKind kind, const antidope::AntiDopeConfig& antidope_config = {});
 
 /// One scripted chaos event: server `server` suffers a hard power loss
@@ -92,12 +92,12 @@ struct ScenarioConfig {
   /// (zone = index / num_servers, server = index % num_servers).
   std::vector<NodeOutage> node_outages;
 
-  // --- multi-zone site (docs/SITE.md) ---
-  /// Zone count. 1 runs the classic single-cluster scenario (exports
-  /// stay byte-identical to the pre-site layout); >= 2 stands up a
-  /// `site::Site` of identical zones — each with `num_servers` servers,
-  /// the cluster settings above, and its own copy of `scheme` — behind
-  /// the global load balancer below.
+  // --- site (docs/SITE.md) ---
+  /// Zone count. Every run stands up a `site::Site` of identical zones,
+  /// each with `num_servers` servers, the cluster settings above, and its
+  /// own copy of `scheme`. With 1 (the paper's single cluster) the site
+  /// reduces to that cluster and the settings below have no effect;
+  /// with >= 2 the zones sit behind the global load balancer.
   std::size_t num_zones = 1;
   /// Per-zone GLB/divider weights; empty means all 1.0. When non-empty
   /// the size must equal `num_zones`.
@@ -109,7 +109,8 @@ struct ScenarioConfig {
   Duration reapportion_period = 5 * kSecond;
   /// When >= 0, attack traffic enters through this zone's regional
   /// front door instead of the global balancer — the zone-concentrated
-  /// DOPE flood (ignored in single-cluster runs).
+  /// DOPE flood. Must lie in [-1, num_zones); with one zone, 0 and -1
+  /// are the same front door.
   int attack_zone = -1;
 
   // --- run ---
@@ -209,7 +210,8 @@ struct ScenarioResult {
   GHz final_mean_frequency{0.0};
   std::size_t min_level_seen = 0;
 
-  /// Per-zone breakdown, in zone order. Empty for single-cluster runs.
+  /// Per-zone breakdown, in zone order, for runs with two or more zones;
+  /// empty with one zone, whose numbers are the ones above.
   std::vector<ZoneBreakdown> zones;
 };
 

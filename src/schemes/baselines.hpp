@@ -18,14 +18,14 @@
 #pragma once
 
 #include "cluster/cluster.hpp"
-#include "cluster/scheme.hpp"
+#include "cluster/stage.hpp"
 #include "net/token_bucket.hpp"
 #include "schemes/util.hpp"
 
 namespace dope::schemes {
 
 /// No power management: demand is never capped.
-class NoScheme final : public cluster::PowerScheme {
+class NoScheme final : public cluster::ControlStage {
  public:
   std::string name() const override { return "None"; }
   void on_slot(Time now, Duration slot) override {
@@ -35,7 +35,7 @@ class NoScheme final : public cluster::PowerScheme {
 };
 
 /// DVFS-only capping of the whole cluster.
-class CappingScheme final : public cluster::PowerScheme {
+class CappingScheme final : public cluster::ControlStage {
  public:
   /// `headroom_margin`: fraction of the budget that must remain free for a
   /// frequency raise to be attempted (hysteresis against oscillation).
@@ -53,7 +53,7 @@ class CappingScheme final : public cluster::PowerScheme {
 };
 
 /// Battery-first peak shaving with DVFS fallback.
-class ShavingScheme final : public cluster::PowerScheme {
+class ShavingScheme final : public cluster::ControlStage {
  public:
   explicit ShavingScheme(double headroom_margin = 0.02);
 
@@ -71,7 +71,7 @@ class ShavingScheme final : public cluster::PowerScheme {
 };
 
 /// Power-based token-bucket admission control at the NLB.
-class TokenScheme final : public cluster::PowerScheme {
+class TokenScheme final : public cluster::ControlStage {
  public:
   /// `burst_seconds`: bucket capacity expressed as seconds of refill.
   explicit TokenScheme(double burst_seconds = 1.0);

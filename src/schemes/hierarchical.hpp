@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/scheme.hpp"
+#include "cluster/stage.hpp"
 #include "power/hierarchy.hpp"
 #include "schemes/util.hpp"
 
@@ -24,7 +24,7 @@ class Hub;
 namespace dope::schemes {
 
 /// Per-level capping over a PowerTopology.
-class HierarchicalCappingScheme final : public cluster::PowerScheme {
+class HierarchicalCappingScheme final : public cluster::ControlStage {
  public:
   /// The topology must cover exactly the cluster's servers (validated at
   /// attach time). `recovery_debounce`: consecutive clean slots a rack

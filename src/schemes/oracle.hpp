@@ -11,14 +11,14 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/scheme.hpp"
+#include "cluster/stage.hpp"
 #include "net/load_balancer.hpp"
 #include "schemes/util.hpp"
 
 namespace dope::schemes {
 
 /// Perfect-knowledge isolation + differentiated throttling.
-class OracleScheme final : public cluster::PowerScheme {
+class OracleScheme final : public cluster::ControlStage {
  public:
   /// `isolation_fraction`: share of servers quarantining attack traffic.
   explicit OracleScheme(double isolation_fraction = 0.25);

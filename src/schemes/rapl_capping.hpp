@@ -11,13 +11,13 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/scheme.hpp"
+#include "cluster/stage.hpp"
 #include "server/rapl.hpp"
 
 namespace dope::schemes {
 
 /// Demand-proportional per-node power capping.
-class RaplCappingScheme final : public cluster::PowerScheme {
+class RaplCappingScheme final : public cluster::ControlStage {
  public:
   /// `release_margin`: caps are lifted when demand falls below this
   /// fraction of the budget (hysteresis).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -139,25 +140,31 @@ Site::Site(sim::Engine& engine, const workload::Catalog& catalog,
            SiteConfig config)
     : engine_(engine), config_((validate(config), std::move(config))) {
   const std::size_t n = config_.zones.size();
-  zones_.reserve(n);
+  const bool multi = n > 1;
+  other_zones_.reserve(n - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    cluster::ClusterConfig zone_config = config_.zones[i].cluster;
-    zone_config.zone = static_cast<int>(i);
-    zones_.push_back(std::make_unique<cluster::Cluster>(
-        engine_, catalog, std::move(zone_config)));
-    zones_.back()->add_record_listener(request_metrics_.sink());
+    // Each zone keeps its settings in its own Cluster (`zone(i).config()`).
+    cluster::ClusterConfig zone_config = std::move(config_.zones[i].cluster);
+    zone_config.zone = multi ? static_cast<int>(i) : -1;
+    if (i == 0) {
+      first_zone_.emplace(engine_, catalog, std::move(zone_config));
+    } else {
+      other_zones_.push_back(std::make_unique<cluster::Cluster>(
+          engine_, catalog, std::move(zone_config)));
+    }
+    if (multi) zone(i).add_record_listener(request_metrics_.sink());
   }
 
   facility_budget_ = config_.facility_budget;
   if (!(facility_budget_ > Watts{0.0})) {
-    for (const auto& zone : zones_) {
-      facility_budget_ += zone->power().budget();
+    for (std::size_t i = 0; i < n; ++i) {
+      facility_budget_ += zone(i).power().budget();
     }
   }
 
-  wrr_current_.assign(n, 0.0);
+  if (multi) wrr_current_.assign(n, 0.0);
 
-  if (obs::Hub* hub = engine_.obs(); hub != nullptr) {
+  if (obs::Hub* hub = engine_.obs(); multi && hub != nullptr) {
     auto& reg = hub->registry();
     obs_routed_.reserve(n);
     obs_zone_budget_.reserve(n);
@@ -170,7 +177,7 @@ Site::Site(sim::Engine& engine, const workload::Catalog& catalog,
       ts_zone_budget_.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         ts_zone_budget_.push_back(&ts->series(
-            "site.zone_budget_w.zone" + std::to_string(i)));
+            cluster::zone_name("site.zone_budget_w", static_cast<int>(i))));
       }
     }
   }
@@ -178,6 +185,7 @@ Site::Site(sim::Engine& engine, const workload::Catalog& catalog,
   // First apportioning happens before any traffic; with no demand
   // measured yet the demand-aware dividers fall back to weights.
   reapportion();
+  if (!multi) return;  // one zone: its share stays the facility budget
 
   // Registered after every zone's management-slot periodic, so when both
   // fire at the same instant each zone settles its books and runs its
@@ -189,9 +197,9 @@ Site::Site(sim::Engine& engine, const workload::Catalog& catalog,
 Site::~Site() { divider_task_.stop(); }
 
 std::vector<ZoneSignal> Site::signals() const {
-  std::vector<ZoneSignal> out(zones_.size());
-  for (std::size_t i = 0; i < zones_.size(); ++i) {
-    const cluster::Cluster& zone = *zones_[i];
+  std::vector<ZoneSignal> out(num_zones());
+  for (std::size_t i = 0; i < num_zones(); ++i) {
+    const cluster::Cluster& zone = this->zone(i);
     out[i].weight = config_.zones[i].weight;
     out[i].demand = zone.power().last_slot_demand();
     out[i].nameplate = zone.power().total_nameplate();
@@ -201,18 +209,21 @@ std::vector<ZoneSignal> Site::signals() const {
 }
 
 void Site::reapportion() {
+  if (num_zones() == 1) {
+    apply_budgets({facility_budget_});
+    return;
+  }
   apply_budgets(divide_budget(config_.divider, facility_budget_, signals()));
 }
 
-void Site::apply_budgets(const std::vector<Watts>& shares) {
-  zone_budgets_ = shares;
-  for (std::size_t i = 0; i < zones_.size(); ++i) {
-    zones_[i]->power().set_budget(shares[i]);
-    if (!obs_zone_budget_.empty()) {
-      obs_zone_budget_[i]->set(shares[i].value());
-    }
+void Site::apply_budgets(std::vector<Watts> shares) {
+  zone_budgets_ = std::move(shares);
+  for (std::size_t i = 0; i < num_zones(); ++i) {
+    const Watts share = zone_budgets_[i];
+    zone(i).power().set_budget(share);
+    if (!obs_zone_budget_.empty()) obs_zone_budget_[i]->set(share.value());
     if (!ts_zone_budget_.empty()) {
-      ts_zone_budget_[i]->sample(engine_.now(), shares[i].value());
+      ts_zone_budget_[i]->sample(engine_.now(), share.value());
     }
   }
   ++reapportions_;
@@ -222,16 +233,17 @@ std::size_t Site::weighted_pick(bool commit) {
   // Smooth weighted round-robin: every zone's accumulator grows by its
   // weight, the largest wins and pays back the total — deterministic
   // and drift-free. Zones in outage sit the round out (unless all are).
-  const std::size_t n = zones_.size();
+  const std::size_t n = num_zones();
+  if (n == 1) return 0;  // one zone keeps no accumulators
   bool any_up = false;
-  for (const auto& zone : zones_) {
-    if (!zone->power().in_outage()) any_up = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!zone(i).power().in_outage()) any_up = true;
   }
   double total = 0.0;
   std::size_t best = 0;
   double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
-    if (any_up && zones_[i]->power().in_outage()) continue;
+    if (any_up && zone(i).power().in_outage()) continue;
     const double w = config_.zones[i].weight;
     total += w;
     const double score = wrr_current_[i] + w;
@@ -242,7 +254,7 @@ std::size_t Site::weighted_pick(bool commit) {
   }
   if (commit) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (any_up && zones_[i]->power().in_outage()) continue;
+      if (any_up && zone(i).power().in_outage()) continue;
       wrr_current_[i] += config_.zones[i].weight;
     }
     wrr_current_[best] -= total;
@@ -250,18 +262,19 @@ std::size_t Site::weighted_pick(bool commit) {
   return best;
 }
 
-std::size_t Site::least_loaded_pick() const {
+std::size_t Site::least_loaded_pick() {
   bool any_up = false;
-  for (const auto& zone : zones_) {
-    if (!zone->power().in_outage()) any_up = true;
+  for (std::size_t i = 0; i < num_zones(); ++i) {
+    if (!zone(i).power().in_outage()) any_up = true;
   }
   std::size_t best = 0;
   std::size_t best_load = std::numeric_limits<std::size_t>::max();
-  for (std::size_t i = 0; i < zones_.size(); ++i) {
-    if (any_up && zones_[i]->power().in_outage()) continue;
+  for (std::size_t i = 0; i < num_zones(); ++i) {
+    cluster::Cluster& candidate = zone(i);
+    if (any_up && candidate.power().in_outage()) continue;
     std::size_t load = 0;
-    for (const auto* node : zones_[i]->data().servers()) {
-      load += node->load();
+    for (std::size_t s = 0; s < candidate.num_servers(); ++s) {
+      load += candidate.server(s).load();
     }
     if (load < best_load) {
       best = i;
@@ -272,13 +285,13 @@ std::size_t Site::least_loaded_pick() const {
 }
 
 std::size_t Site::affinity_pick(workload::SourceId source) const {
-  const std::size_t n = zones_.size();
+  const std::size_t n = num_zones();
   std::uint64_t h = source;
   const std::size_t start =
       static_cast<std::size_t>(splitmix64(h) % n);
   for (std::size_t probe = 0; probe < n; ++probe) {
     const std::size_t i = (start + probe) % n;
-    if (!zones_[i]->power().in_outage()) return i;
+    if (!zone(i).power().in_outage()) return i;
   }
   return start;  // every zone dark: keep the stable assignment
 }
@@ -298,7 +311,7 @@ std::size_t Site::peek_zone(const workload::Request& request) const {
   switch (config_.policy) {
     case GlobalLbPolicy::kWeighted:
       return self.weighted_pick(/*commit=*/false);
-    case GlobalLbPolicy::kLeastLoaded: return least_loaded_pick();
+    case GlobalLbPolicy::kLeastLoaded: return self.least_loaded_pick();
     case GlobalLbPolicy::kZoneAffinity:
       return affinity_pick(request.source);
   }
@@ -308,27 +321,32 @@ std::size_t Site::peek_zone(const workload::Request& request) const {
 void Site::ingest(workload::Request&& request) {
   const std::size_t z = select_zone(request);
   if (!obs_routed_.empty()) obs_routed_[z]->inc();
-  zones_[z]->ingest(std::move(request));
+  zone(z).ingest(std::move(request));
 }
 
 workload::RequestSink Site::edge_sink() {
+  if (num_zones() == 1) return zone(0).edge_sink();
   return [this](workload::Request&& request) {
     this->ingest(std::move(request));
   };
 }
 
 workload::RequestSink Site::zone_sink(std::size_t zone) {
-  DOPE_REQUIRE(zone < zones_.size(), "zone_sink: zone out of range");
-  cluster::Cluster* target = zones_[zone].get();
+  DOPE_REQUIRE(zone < num_zones(), "zone_sink: zone out of range");
+  cluster::Cluster* target = &this->zone(zone);
   return [target](workload::Request&& request) {
     target->ingest(std::move(request));
   };
 }
 
+metrics::RequestMetrics& Site::request_metrics() {
+  return num_zones() == 1 ? zone(0).request_metrics() : request_metrics_;
+}
+
 metrics::EnergyAccount Site::aggregate_energy() const {
   metrics::EnergyAccount total;
-  for (const auto& zone : zones_) {
-    const metrics::EnergyAccount& account = zone->energy_account();
+  for (std::size_t i = 0; i < num_zones(); ++i) {
+    const metrics::EnergyAccount& account = zone(i).energy_account();
     total.add_joules(account.utility, account.battery, account.recharge);
   }
   return total;
@@ -336,8 +354,8 @@ metrics::EnergyAccount Site::aggregate_energy() const {
 
 Joules Site::total_energy() const {
   Joules total{0.0};
-  for (const auto& zone : zones_) {
-    total += zone->data().total_energy();
+  for (std::size_t i = 0; i < num_zones(); ++i) {
+    total += zone(i).data().total_energy();
   }
   return total;
 }

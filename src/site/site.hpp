@@ -2,9 +2,9 @@
 //
 // The paper studies a single power-constrained cluster; real deployments
 // spread the fleet across availability zones that share one facility
-// feed. A `Site` composes N `cluster::Cluster`s (each tagged with its
-// zone index so every metric, span, and trace event it emits carries a
-// `zone` label) behind two site-wide policies:
+// feed. A `Site` composes N `cluster::Cluster`s (with two or more, each
+// tagged with its zone index so every metric, span, and trace event it
+// emits carries a `zone` label) behind two site-wide policies:
 //
 //   global load balancer  picks the zone for each arriving request
 //                         (weighted, least-loaded, or source-affinity)
@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -74,6 +75,14 @@ struct ZoneConfig {
 };
 
 /// Everything needed to stand up a site.
+///
+/// One zone is the paper's single cluster, and the site reduces to it:
+/// the zone keeps `ClusterConfig::zone == -1` (no zone labels or ".zoneN"
+/// suffixes), `edge_sink()` is the zone's own sink (no GLB hop), its
+/// share is the facility budget with no divider periodic, no `site.*`
+/// instrument or series is registered, and `request_metrics()` is the
+/// zone's own recorder. Divider, policy, weight and reapportion period
+/// then have no effect.
 struct SiteConfig {
   std::vector<ZoneConfig> zones;
   /// Shared facility supply divided across zones. When zero, defaults to
@@ -119,17 +128,24 @@ class Site {
   Site& operator=(const Site&) = delete;
 
   // --- topology ---
-  std::size_t num_zones() const { return zones_.size(); }
-  cluster::Cluster& zone(std::size_t i) { return *zones_[i]; }
-  const cluster::Cluster& zone(std::size_t i) const { return *zones_[i]; }
+  std::size_t num_zones() const { return 1 + other_zones_.size(); }
+  cluster::Cluster& zone(std::size_t i) {
+    return i == 0 ? *first_zone_ : *other_zones_[i - 1];
+  }
+  const cluster::Cluster& zone(std::size_t i) const {
+    return i == 0 ? *first_zone_ : *other_zones_[i - 1];
+  }
   sim::Engine& engine() { return engine_; }
+  /// The site's settings; each zone's cluster settings were moved into
+  /// that zone and read back through `zone(i).config()`.
   const SiteConfig& config() const { return config_; }
 
   // --- request path ---
   /// Edge entry point: the global load balancer picks a zone and hands
   /// the request to that zone's data plane.
   void ingest(workload::Request&& request);
-  /// Sink adapter for TrafficGenerator (site must outlive it).
+  /// Sink adapter for TrafficGenerator (site must outlive it); with one
+  /// zone, that zone's own sink.
   workload::RequestSink edge_sink();
   /// Pinned sink bypassing the GLB — models traffic that enters through
   /// one zone's regional front door (zone-concentrated DOPE floods).
@@ -150,8 +166,9 @@ class Site {
   std::uint64_t reapportion_count() const { return reapportions_; }
 
   // --- metrics ---
-  /// Site-wide request metrics (every zone's terminal records fold in).
-  metrics::RequestMetrics& request_metrics() { return request_metrics_; }
+  /// Site-wide request metrics (every zone's terminal records fold in);
+  /// with one zone, that zone's own recorder.
+  metrics::RequestMetrics& request_metrics();
   /// Sum of the zones' energy accounts — site-level conservation holds
   /// exactly: aggregate load energy == sum of zone load energies.
   metrics::EnergyAccount aggregate_energy() const;
@@ -166,21 +183,28 @@ class Site {
   std::vector<ZoneSignal> signals() const;
   std::size_t select_zone(const workload::Request& request);
   std::size_t weighted_pick(bool commit);
-  std::size_t least_loaded_pick() const;
+  std::size_t least_loaded_pick();
   std::size_t affinity_pick(workload::SourceId source) const;
-  void apply_budgets(const std::vector<Watts>& shares);
+  void apply_budgets(std::vector<Watts> shares);
 
   sim::Engine& engine_;
   SiteConfig config_;
-  std::vector<std::unique_ptr<cluster::Cluster>> zones_;
+  /// Zone 0 is built in place, so a one-zone site costs no more to set
+  /// up than a bare Cluster: a heap Cluster is a large-bin request, on
+  /// which glibc malloc consolidates its fastbins. Zones 1.. are boxed.
+  std::optional<cluster::Cluster> first_zone_;
+  std::vector<std::unique_ptr<cluster::Cluster>> other_zones_;
 
   Watts facility_budget_{0.0};
   std::vector<Watts> zone_budgets_;
   std::uint64_t reapportions_ = 0;
 
+  /// Fed only with two or more zones: it keeps a second copy of every
+  /// latency sample, which a one-zone site does not need.
   metrics::RequestMetrics request_metrics_;
 
-  /// Smooth weighted round-robin accumulators (kWeighted).
+  /// Smooth weighted round-robin accumulators (kWeighted, two or more
+  /// zones).
   mutable std::vector<double> wrr_current_;
 
   // Observability (null when no hub is attached to the engine).

@@ -280,7 +280,7 @@ TEST(AntiDope, BringsDemandWithinBudget) {
                   /*budget_override=*/Watts{420.0});
   rig.start_traffic(300.0, 500.0, Catalog::kCollaFilt);
   rig.cluster->run_for(60 * kSecond);
-  EXPECT_LE(rig.cluster->last_slot_demand(),
+  EXPECT_LE(rig.cluster->power().last_slot_demand(),
             rig.cluster->budget() * 1.10);
 }
 
@@ -325,7 +325,8 @@ TEST(AntiDope, NoBatteryConfigurationStillEnforces) {
                   /*budget_override=*/Watts{420.0});
   rig.start_traffic(300.0, 500.0, Catalog::kCollaFilt);
   rig.cluster->run_for(60 * kSecond);
-  EXPECT_LE(rig.cluster->last_slot_demand(), rig.cluster->budget() * 1.10);
+  EXPECT_LE(rig.cluster->power().last_slot_demand(),
+            rig.cluster->budget() * 1.10);
   EXPECT_DOUBLE_EQ(rig.cluster->battery()->total_discharged().value(), 0.0);
 }
 

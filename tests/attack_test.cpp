@@ -117,7 +117,7 @@ TEST(DopeAttacker, StaysUnderPerSourceFirewallThreshold) {
   rig.engine.run_until(5 * kMinute);
   // 64 agents: even 4000 rps aggregate is 62 rps/agent — under the 150
   // threshold, so the firewall must never have banned anyone.
-  EXPECT_EQ(rig.cluster->firewall()->total_bans(), 0u);
+  EXPECT_EQ(rig.cluster->data().firewall()->total_bans(), 0u);
   EXPECT_TRUE(rig.attacker->emergency_achieved());
 }
 
@@ -129,7 +129,7 @@ TEST(DopeAttacker, FewAgentsGetDetectedAndBackOff) {
   config.max_rate_rps = 4'000.0;
   AttackRig rig(power::BudgetLevel::kLow, /*with_firewall=*/true, config);
   rig.engine.run_until(10 * kMinute);
-  EXPECT_GT(rig.cluster->firewall()->total_bans(), 0u);
+  EXPECT_GT(rig.cluster->data().firewall()->total_bans(), 0u);
   bool backed_off = false;
   for (const auto& d : rig.attacker->decisions()) {
     if (d.phase == AttackPhase::kBackoff) backed_off = true;

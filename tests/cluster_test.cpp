@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "cluster/cluster.hpp"
-#include "cluster/scheme.hpp"
+#include "cluster/stage.hpp"
 #include "workload/generator.hpp"
 
 namespace dope::cluster {
@@ -39,10 +39,10 @@ TEST_F(ClusterTest, BuildsRequestedTopology) {
   config.num_servers = 4;
   auto cluster = make_cluster(config);
   EXPECT_EQ(cluster->num_servers(), 4u);
-  EXPECT_DOUBLE_EQ(cluster->total_nameplate().value(), 400.0);
+  EXPECT_DOUBLE_EQ(cluster->power().total_nameplate().value(), 400.0);
   EXPECT_DOUBLE_EQ(cluster->budget().value(), 400.0);  // Normal-PB
   EXPECT_EQ(cluster->battery(), nullptr);
-  EXPECT_EQ(cluster->firewall(), nullptr);
+  EXPECT_EQ(cluster->data().firewall(), nullptr);
 }
 
 TEST_F(ClusterTest, BudgetLevelsScaleSupply) {
@@ -121,7 +121,7 @@ TEST_F(ClusterTest, TotalPowerSumsServers) {
 TEST_F(ClusterTest, LastSlotDemandTracksLoad) {
   auto cluster = make_cluster();
   cluster->run_for(2 * kSecond);
-  EXPECT_NEAR(cluster->last_slot_demand().value(), 8 * 38.0, 1.0);
+  EXPECT_NEAR(cluster->power().last_slot_demand().value(), 8 * 38.0, 1.0);
 }
 
 TEST_F(ClusterTest, EnergyAccountAllUtilityWithoutBattery) {
@@ -130,8 +130,8 @@ TEST_F(ClusterTest, EnergyAccountAllUtilityWithoutBattery) {
   const auto& account = cluster->energy_account();
   EXPECT_NEAR(account.utility.value(), 8 * 38.0 * 10.0, 1.0);
   EXPECT_DOUBLE_EQ(account.battery.value(), 0.0);
-  EXPECT_NEAR(account.load_total().value(), cluster->total_energy().value(),
-              1.0);
+  EXPECT_NEAR(account.load_total().value(),
+              cluster->data().total_energy().value(), 1.0);
 }
 
 TEST_F(ClusterTest, SlotStatsCountViolations) {
@@ -152,7 +152,7 @@ TEST_F(ClusterTest, SlotStatsCountViolations) {
 }
 
 // A scheme that drops every request at admission.
-class DropAllScheme final : public PowerScheme {
+class DropAllScheme final : public ControlStage {
  public:
   std::string name() const override { return "drop-all"; }
   bool admit(const Request&) override { return false; }
@@ -169,11 +169,11 @@ TEST_F(ClusterTest, SchemeAdmitGate) {
 }
 
 // A scheme that routes everything to server 0.
-class PinScheme final : public PowerScheme {
+class PinScheme final : public ControlStage {
  public:
   std::string name() const override { return "pin"; }
   void attach(Cluster& cluster) override {
-    PowerScheme::attach(cluster);
+    ControlStage::attach(cluster);
     target_ = cluster.servers().front();
   }
   net::Backend* route(const Request&) override { return target_; }
@@ -203,7 +203,7 @@ TEST_F(ClusterTest, OnSlotInvokedEverySlot) {
   config.slot = kSecond;
   auto cluster = make_cluster(config);
   auto* scheme = new PinScheme();
-  cluster->install_scheme(std::unique_ptr<PowerScheme>(scheme));
+  cluster->install_scheme(std::unique_ptr<ControlStage>(scheme));
   cluster->run_for(10 * kSecond);
   EXPECT_EQ(scheme->slots_, 10);
   EXPECT_EQ(cluster->slot_stats().slots, 10u);
@@ -242,7 +242,7 @@ TEST_F(ClusterTest, SingleServerClusterIsValid) {
 
 // Records its tag into a shared journal at each plug point, so the
 // pipeline's invocation order is directly observable.
-class JournalStage final : public PowerScheme {
+class JournalStage final : public ControlStage {
  public:
   JournalStage(char tag, std::vector<char>& journal, bool admits = true)
       : tag_(tag), journal_(journal), admits_(admits) {}
@@ -302,7 +302,7 @@ TEST_F(ClusterTest, ReleasedStageReattachesWithoutDangling) {
   first->run_for(2 * kSecond);
   EXPECT_EQ(pin->slots_, 2);
 
-  std::unique_ptr<PowerScheme> released = first->control().release_stage(0);
+  std::unique_ptr<ControlStage> released = first->control().release_stage(0);
   EXPECT_FALSE(released->attached());
   EXPECT_TRUE(first->control().empty());
   first.reset();  // the old cluster is gone; the stage must not care
@@ -319,7 +319,7 @@ TEST_F(ClusterTest, ReleasedStageReattachesWithoutDangling) {
 
 TEST_F(ClusterTest, AttachedStageRefusesASecondCluster) {
   auto cluster = make_cluster();
-  PowerScheme& stage =
+  ControlStage& stage =
       cluster->control().push_stage(std::make_unique<PinScheme>());
   sim::Engine other_engine;
   Cluster other(other_engine, catalog_, ClusterConfig{});

@@ -169,7 +169,7 @@ TEST(PerNodeDpm, AntiDopeEnforcesBudgetWithHeterogeneousLevels) {
   workload::TrafficGenerator attack_gen(engine, catalog, attack,
                                         cluster.edge_sink());
   engine.run_until(kMinute);
-  EXPECT_LE(cluster.last_slot_demand(), cluster.budget() * 1.10);
+  EXPECT_LE(cluster.power().last_slot_demand(), cluster.budget() * 1.10);
   // Innocent pool untouched, suspect pool throttled.
   for (std::size_t i = 2; i < cluster.num_servers(); ++i) {
     EXPECT_EQ(cluster.server(i).level(), cluster.ladder().max_level());

@@ -259,6 +259,22 @@ TEST_F(FuzzTest, PreSiteReproFilesParseAsSingleZone) {
   EXPECT_TRUE(loaded.fuzz_case.config.zone_weights.empty());
 }
 
+TEST_F(FuzzTest, ReproRejectsAttackZoneOutsideTheSite) {
+  // A one-zone case has no zone 2 to pin the flood to; the loader says
+  // so instead of replaying an unpinned flood.
+  std::ostringstream out;
+  fuzz::write_repro(out, {golden_case(), {"budget_envelope"}});
+  std::string text = out.str();
+  const std::string field = "\"attack_zone\": -1";
+  const auto at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, field.size(), "\"attack_zone\": 2");
+  ASSERT_NE(text.find("\"num_zones\": 1,"), std::string::npos);
+
+  std::istringstream in(text);
+  EXPECT_THROW(fuzz::read_repro(in), std::runtime_error);
+}
+
 TEST_F(FuzzTest, ReproRejectsMalformedDocuments) {
   const auto parse = [](const std::string& text) {
     std::istringstream in(text);

@@ -221,7 +221,7 @@ TEST(ClusterOutage, ServiceRecoversAfterTheOutage) {
                                        cluster.edge_sink());
   engine.run_until(2 * kMinute);
   ASSERT_GT(cluster.slot_stats().outages, 0u);
-  EXPECT_FALSE(cluster.in_outage());
+  EXPECT_FALSE(cluster.power().in_outage());
 
   // After recovery the cluster serves again.
   const auto completed_before =

@@ -110,7 +110,7 @@ TEST(Resilience, SchemeSurvivesNodeFailureMidEnforcement) {
   const auto& counts = rig.cluster->request_metrics().normal_counts();
   EXPECT_GT(counts.completed, 1'000u);
   EXPECT_NEAR(rig.cluster->energy_account().load_total().value(),
-              rig.cluster->total_energy().value(), 1.0);
+              rig.cluster->data().total_energy().value(), 1.0);
 }
 
 TEST(Resilience, EnergyAccountingSurvivesOutagesAndRecovery) {
@@ -122,7 +122,7 @@ TEST(Resilience, EnergyAccountingSurvivesOutagesAndRecovery) {
   rig.cluster->server(0).power_on(kSecond);
   rig.cluster->run_for(10 * kSecond);
   EXPECT_NEAR(rig.cluster->energy_account().load_total().value(),
-              rig.cluster->total_energy().value(), 1.0);
+              rig.cluster->data().total_energy().value(), 1.0);
 }
 
 }  // namespace

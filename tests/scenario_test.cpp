@@ -177,6 +177,36 @@ TEST(CliSweep, ThreadsFlagSmoke) {
   }
 }
 
+TEST(RunScenario, OneZoneIgnoresSiteOnlySettings) {
+  // The golden configuration (tools/check_golden.sh) as a one-zone site:
+  // divider, GLB policy, zone weight, reapportion period and a pin to
+  // zone 0 have nothing to act on, so the results are byte-identical.
+  ScenarioConfig base;
+  base.scheme = SchemeKind::kAntiDope;
+  base.budget = power::BudgetLevel::kLow;
+  base.battery_runtime = 2 * kMinute;
+  base.normal_rps = 300.0;
+  base.attack_rps = 400.0;
+  base.duration = 60 * kSecond;
+  base.seed = 42;
+  ScenarioConfig varied = base;
+  varied.site_divider = site::DividerKind::kHeadroomAware;
+  varied.glb_policy = site::GlobalLbPolicy::kLeastLoaded;
+  varied.zone_weights = {3.0};
+  varied.reapportion_period = kSecond;
+  varied.attack_zone = 0;
+
+  const auto a = run_scenario(base);
+  const auto b = run_scenario(varied);
+  std::ostringstream csv_a;
+  std::ostringstream csv_b;
+  write_results_csv(csv_a, {a});
+  write_results_csv(csv_b, {b});
+  EXPECT_EQ(csv_a.str(), csv_b.str());
+  EXPECT_TRUE(a.zones.empty());
+  EXPECT_TRUE(b.zones.empty());
+}
+
 TEST(RunScenario, ValidatesDuration) {
   ScenarioConfig config;
   config.duration = 0;

@@ -117,7 +117,7 @@ TEST(Capping, BringsDemandNearBudget) {
   rig.cluster->run_for(60 * kSecond);
   // After convergence, slot demand sits at/below budget (small tolerance
   // for actuation lag at slot boundaries).
-  EXPECT_LE(rig.cluster->last_slot_demand(),
+  EXPECT_LE(rig.cluster->power().last_slot_demand(),
             rig.cluster->budget() * 1.05);
 }
 
@@ -243,7 +243,8 @@ TEST(Token, KeepsPowerNearBudget) {
   rig.cluster->install_scheme(std::make_unique<TokenScheme>());
   rig.offer(workload::Mixture::single(Catalog::kKMeans), 800.0);
   rig.cluster->run_for(60 * kSecond);
-  EXPECT_LE(rig.cluster->last_slot_demand(), rig.cluster->budget() * 1.10);
+  EXPECT_LE(rig.cluster->power().last_slot_demand(),
+            rig.cluster->budget() * 1.10);
 }
 
 TEST(Token, SurvivorsSeeGoodLatency) {

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "antidope/antidope.hpp"
+#include "obs/hub.hpp"
+#include "obs/timeseries.hpp"
 #include "scenario/scenario.hpp"
 #include "schemes/hierarchical.hpp"
 #include "site/site.hpp"
@@ -299,6 +303,49 @@ TEST_F(SiteTest, StacksAntiDopeAndHierCappingInOneZone) {
   EXPECT_GT(site->zone(0).request_metrics().total_terminal(), 0u);
 }
 
+TEST(OneZoneSite, ReducesToItsCluster) {
+  // One zone is the paper's single cluster: no zone tag, no GLB hop, no
+  // divider periodic, no site.* instruments, no second metrics copy —
+  // whatever the site-only settings say.
+  obs::HubConfig hub_config;
+  hub_config.enable_timeseries = true;
+  obs::Hub hub(hub_config);
+  sim::Engine engine;
+  engine.set_obs(&hub);
+  const Catalog catalog = Catalog::standard();
+  SiteConfig config;
+  config.zones.resize(1);
+  config.zones[0].cluster.num_servers = 2;
+  config.zones[0].weight = 3.0;
+  config.facility_budget = Watts{150.0};
+  config.divider = DividerKind::kHeadroomAware;
+  config.policy = GlobalLbPolicy::kLeastLoaded;
+  config.reapportion_period = kSecond;
+  Site site(engine, catalog, std::move(config));
+
+  EXPECT_EQ(site.zone(0).zone(), -1);
+  EXPECT_EQ(&site.request_metrics(), &site.zone(0).request_metrics());
+  EXPECT_DOUBLE_EQ(site.zone(0).budget().value(), 150.0);
+
+  site.edge_sink()(request_of(Catalog::kDnsQuery, engine.now()));
+  site.run_for(5 * kSecond);  // five reapportion periods
+  EXPECT_EQ(site.reapportion_count(), 1u);
+  ASSERT_EQ(site.zone_budgets().size(), 1u);
+  EXPECT_DOUBLE_EQ(site.zone_budgets()[0].value(), 150.0);
+  EXPECT_EQ(site.request_metrics().total_terminal(), 1u);
+
+  std::ostringstream metrics;
+  hub.registry().write_json(metrics);
+  EXPECT_EQ(metrics.str().find("site."), std::string::npos);
+  EXPECT_EQ(metrics.str().find("\"zone\""), std::string::npos);
+  std::ostringstream series;
+  hub.timeseries()->write_json(series);
+  EXPECT_EQ(series.str().find("site."), std::string::npos);
+  EXPECT_EQ(series.str().find(".zone"), std::string::npos);
+  EXPECT_NE(hub.timeseries()->find(cluster::Cluster::kSignalSlotDemand),
+            nullptr);
+}
+
 // ------------------------------------------- scenario-level acceptance
 
 TEST(SiteScenario, ZoneConcentratedAttackThrottlesOnlyTheVictim) {
@@ -341,6 +388,13 @@ TEST(SiteScenario, ValidatesSiteArguments) {
 
   config.zone_weights.clear();
   config.attack_zone = 5;  // out of range
+  EXPECT_THROW(scenario::run_scenario(config), std::invalid_argument);
+  config.attack_zone = -2;
+  EXPECT_THROW(scenario::run_scenario(config), std::invalid_argument);
+
+  // The range holds at one zone too: zone 1 does not exist.
+  config.num_zones = 1;
+  config.attack_zone = 1;
   EXPECT_THROW(scenario::run_scenario(config), std::invalid_argument);
 }
 
