@@ -4,38 +4,30 @@
 //
 //   $ ./defense_comparison
 #include <iostream>
+#include <iterator>
 
 #include "common/table.hpp"
 #include "scenario/scenario.hpp"
+#include "sweep/flags.hpp"
+#include "sweep/sweep.hpp"
 
 int main() {
   using namespace dope;
-  using scenario::SchemeKind;
 
   std::cout << "== four defenses vs. the same DOPE attack ==\n"
             << "(8x100 W cluster, Low-PB budget = 640 W, 300 rps normal "
                "traffic,\n 400 rps heavy-URL attack, 10-minute window)\n\n";
 
-  workload::Mixture heavy(
-      {workload::Catalog::kCollaFilt, workload::Catalog::kKMeans,
-       workload::Catalog::kWordCount},
-      {1.0, 1.0, 1.0});
-
-  // Describe every run declaratively, then execute the sweep (in parallel
-  // when more than one hardware thread is available).
-  std::vector<scenario::ScenarioConfig> configs;
-  for (const auto scheme : scenario::kEvaluatedSchemes) {
-    scenario::ScenarioConfig config;
-    config.scheme = scheme;
-    config.budget = power::BudgetLevel::kLow;
-    config.normal_rps = 300.0;
-    config.attack_rps = 400.0;
-    config.attack_mixture = heavy;
-    config.duration = 10 * kMinute;
-    config.seed = 99;
-    configs.push_back(config);
-  }
-  const auto results = scenario::run_scenarios(configs);
+  // The comparison is a one-axis grid: the four schemes over dopesim's
+  // default scenario (Low-PB, 300 + 400 rps, 10 min) at seed 99. It
+  // runs in parallel when more than one hardware thread is available;
+  // results come back in scheme order.
+  sweep::GridSpec grid;
+  grid.base = sweep::default_scenario();
+  grid.base.seed = 99;
+  grid.schemes.assign(std::begin(scenario::kEvaluatedSchemes),
+                      std::end(scenario::kEvaluatedSchemes));
+  const auto results = sweep::run_grid(grid);
 
   TextTable table({"scheme", "mean RT (ms)", "p90 (ms)", "availability",
                    "dropped %", "battery used (J)", "utility energy (J)"});

@@ -1,29 +1,29 @@
 // dopesim — command-line driver for the simulator.
 //
 // Runs one fully configurable scenario and prints the paper's metrics;
-// optionally dumps CSVs for plotting. This is the entry point a
-// downstream user scripts parameter sweeps with.
+// optionally dumps CSVs and observability exports. Its scenario flags
+// are shared with dopesweep (sweep/flags.hpp), which runs grids of them.
 //
 //   $ ./dopesim_cli --scheme antidope --budget low --attack-rps 400
 //   $ ./dopesim_cli --scheme capping --budget-watts 520
 //         --attack-type kmeans --csv out.csv --power-csv power.csv
 //   $ ./dopesim_cli --help
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "antidope/suspect_list.hpp"
+#include "common/argv.hpp"
 #include "common/table.hpp"
 #include "obs/flight.hpp"
 #include "obs/forensics.hpp"
 #include "obs/hub.hpp"
 #include "scenario/scenario.hpp"
-#include "sweep/report.hpp"
-#include "sweep/sweep.hpp"
+#include "sweep/flags.hpp"
 #include "workload/catalog.hpp"
 
 namespace {
@@ -36,44 +36,11 @@ void print_help() {
 
 usage: dopesim_cli [options]
 
-cluster
-  --servers N          leaf nodes (default 8)
-  --budget LEVEL       normal | high | medium | low (default low)
-  --budget-watts W     explicit supply in watts (overrides --budget)
-  --battery-min M      battery runtime in minutes at full load (default 2)
-  --firewall           enable the DDoS-deflate firewall (150 rps/source)
-  --breaker-watts W    protect the utility feed with a breaker rated W
-  --slot-ms MS         management slot (default 1000)
-
-site (multi-zone; see docs/SITE.md)
-  --zones N            zone count (default 1 = the paper's single
-                       cluster; >= 2 puts N identical zones behind a
-                       global LB, each with --servers servers and its
-                       own scheme)
-  --glb POLICY         weighted | least-loaded | affinity (default
-                       weighted)
-  --divider KIND       static | demand | headroom — how the facility
-                       budget is split across zones (default static)
-  --attack-zone Z      concentrate attack traffic on zone Z's front
-                       door instead of the global LB (0 <= Z < N)
-
-scheme
-  --scheme NAME        none | capping | shaving | token | antidope
-                       (default antidope)
-  --online             Anti-DOPE: learn the suspect list online
-  --per-node           Anti-DOPE: per-node DPM throttling (TL(p,q))
-  --pool-fraction F    Anti-DOPE: suspect pool share (default 0.25)
-
-traffic
-  --normal-rps R       normal user rate (default 300)
-  --attack-rps R       DOPE attack rate (default 400; 0 disables)
-  --attack-type T      colla-filt | kmeans | wordcount | blend (default)
-  --agents N           attack botnet size (default 64)
-  --attack-start-s S   attack onset time (default 0)
-
-run
-  --duration-s S       observation window (default 600, the paper's 10 min)
-  --seed N             RNG seed (default 42)
+)";
+  std::cout << sweep::kScenarioFlagsHelp;
+  std::cout <<
+      R"(
+output
   --csv FILE           append a one-row CSV summary
   --power-csv FILE     write the power timeline
   --soc-csv FILE       write the battery state-of-charge timeline
@@ -103,18 +70,10 @@ observability (see docs/OBSERVABILITY.md)
                        breach windows to raise, C calm windows to clear
   --metrics-percentiles
                        add a p50/p95/p99 summary section to --metrics-out
-
-sweep mode (see docs/SWEEP.md; any --sweep-* flag selects it — the
-flags above define the base scenario, each axis multiplies the grid)
-  --sweep-schemes LIST comma-separated scheme names
-  --sweep-budgets LIST comma-separated budget levels
-  --sweep-attacks LIST none | dope:RPS | pulse:RPS:PERIOD_S
-  --sweep-seeds LIST   comma-separated RNG seeds
-  --threads N          sweep worker threads; 0 = hardware concurrency
-                       (default; results are identical either way)
-  --sweep-json FILE    write the merged sweep report
-  --sweep-csv FILE     write one CSV row per run
   --help               this text
+
+Grids over schemes, budgets, attacks and seeds: dopesweep, which reads
+the same scenario flags (docs/SWEEP.md).
 )";
 }
 
@@ -123,28 +82,10 @@ flags above define the base scenario, each axis multiplies the grid)
   std::exit(2);
 }
 
-double number_arg(const std::string& flag, const std::string& value) {
-  try {
-    return std::stod(value);
-  } catch (...) {
-    fail("bad numeric value for " + flag + ": " + value);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  scenario::ScenarioConfig config;
-  config.scheme = scenario::SchemeKind::kAntiDope;
-  config.budget = power::BudgetLevel::kLow;
-  config.normal_rps = 300.0;
-  config.attack_rps = 400.0;
-  config.attack_mixture = workload::Mixture(
-      {workload::Catalog::kCollaFilt, workload::Catalog::kKMeans,
-       workload::Catalog::kWordCount},
-      {1.0, 1.0, 1.0});
-  config.duration = 10 * kMinute;
-  config.seed = 42;
+  scenario::ScenarioConfig config = sweep::default_scenario();
 
   std::string csv_path, power_csv_path, soc_csv_path;
   std::string metrics_path, trace_path, forensics_path, incidents_path;
@@ -153,240 +94,59 @@ int main(int argc, char** argv) {
   bool metrics_percentiles = false;
   std::size_t trace_cap = 0;
 
-  std::string sweep_schemes, sweep_budgets, sweep_attacks, sweep_seeds;
-  std::string sweep_json_path, sweep_csv_path;
-  std::size_t threads = 0;
-  bool sweep_mode = false;
-
-  const std::map<std::string, scenario::SchemeKind> schemes = {
-      {"none", scenario::SchemeKind::kNone},
-      {"capping", scenario::SchemeKind::kCapping},
-      {"shaving", scenario::SchemeKind::kShaving},
-      {"token", scenario::SchemeKind::kToken},
-      {"antidope", scenario::SchemeKind::kAntiDope},
-  };
-  const std::map<std::string, power::BudgetLevel> budgets = {
-      {"normal", power::BudgetLevel::kNormal},
-      {"high", power::BudgetLevel::kHigh},
-      {"medium", power::BudgetLevel::kMedium},
-      {"low", power::BudgetLevel::kLow},
-  };
-  const std::map<std::string, workload::Mixture> attack_types = {
-      {"colla-filt",
-       workload::Mixture::single(workload::Catalog::kCollaFilt)},
-      {"kmeans", workload::Mixture::single(workload::Catalog::kKMeans)},
-      {"wordcount",
-       workload::Mixture::single(workload::Catalog::kWordCount)},
-      {"blend", *config.attack_mixture},
-  };
-
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) fail("missing value for " + flag);
-      return args[++i];
-    };
-    if (flag == "--help" || flag == "-h") {
-      print_help();
-      return 0;
-    } else if (flag == "--servers") {
-      config.num_servers = static_cast<std::size_t>(
-          number_arg(flag, next()));
-    } else if (flag == "--budget") {
-      const auto it = budgets.find(next());
-      if (it == budgets.end()) fail("unknown budget level");
-      config.budget = it->second;
-    } else if (flag == "--budget-watts") {
-      config.budget_override = Watts{number_arg(flag, next())};
-    } else if (flag == "--battery-min") {
-      config.battery_runtime =
-          static_cast<Duration>(number_arg(flag, next()) * kMinute);
-    } else if (flag == "--firewall") {
-      net::FirewallConfig firewall;
-      firewall.threshold_rps = 150.0;
-      firewall.check_interval = 5 * kSecond;
-      config.firewall = firewall;
-    } else if (flag == "--breaker-watts") {
-      power::BreakerSpec breaker;
-      breaker.rated = Watts{number_arg(flag, next())};
-      config.breaker = breaker;
-    } else if (flag == "--slot-ms") {
-      config.slot = millis(number_arg(flag, next()));
-    } else if (flag == "--zones") {
-      config.num_zones =
-          static_cast<std::size_t>(number_arg(flag, next()));
-      if (config.num_zones < 1) fail("--zones needs at least 1");
-    } else if (flag == "--glb") {
-      const std::string name = next();
-      if (name == "weighted") {
-        config.glb_policy = site::GlobalLbPolicy::kWeighted;
-      } else if (name == "least-loaded") {
-        config.glb_policy = site::GlobalLbPolicy::kLeastLoaded;
-      } else if (name == "affinity") {
-        config.glb_policy = site::GlobalLbPolicy::kZoneAffinity;
+  try {
+    cli::ArgCursor args(argc, argv);
+    while (args.next()) {
+      const std::string& flag = args.flag();
+      if (flag == "--help" || flag == "-h") {
+        print_help();
+        return 0;
+      } else if (sweep::read_scenario_flag(args, config)) {
+        continue;
+      } else if (flag == "--csv") {
+        csv_path = args.value();
+      } else if (flag == "--power-csv") {
+        power_csv_path = args.value();
+      } else if (flag == "--soc-csv") {
+        soc_csv_path = args.value();
+      } else if (flag == "--metrics-out") {
+        metrics_path = args.value();
+      } else if (flag == "--trace-out") {
+        trace_path = args.value();
+      } else if (flag == "--alerts") {
+        want_alerts = true;
+      } else if (flag == "--spans") {
+        want_spans = true;
+      } else if (flag == "--forensics-out") {
+        forensics_path = args.value();
+        want_spans = true;
+      } else if (flag == "--trace-cap") {
+        trace_cap = args.count();
+      } else if (flag == "--incidents-out") {
+        incidents_path = args.value();
+        want_spans = true;
+      } else if (flag == "--dump-incident-at") {
+        config.dump_incident_at = seconds(args.number());
+      } else if (flag == "--alert-hysteresis") {
+        const std::string value = args.value();
+        const auto colon = value.find(':');
+        if (colon == std::string::npos) {
+          throw std::invalid_argument(
+              "--alert-hysteresis wants RAISE:CLEAR, e.g. 3:5");
+        }
+        config.alert_raise_windows = static_cast<unsigned>(
+            args.as_count(value.substr(0, colon), UINT_MAX));
+        config.alert_clear_windows = static_cast<unsigned>(
+            args.as_count(value.substr(colon + 1), UINT_MAX));
+      } else if (flag == "--metrics-percentiles") {
+        metrics_percentiles = true;
       } else {
-        fail("unknown GLB policy: " + name);
-      }
-    } else if (flag == "--divider") {
-      const std::string name = next();
-      if (name == "static") {
-        config.site_divider = site::DividerKind::kStatic;
-      } else if (name == "demand") {
-        config.site_divider = site::DividerKind::kDemandProportional;
-      } else if (name == "headroom") {
-        config.site_divider = site::DividerKind::kHeadroomAware;
-      } else {
-        fail("unknown divider: " + name);
-      }
-    } else if (flag == "--attack-zone") {
-      config.attack_zone = static_cast<int>(number_arg(flag, next()));
-    } else if (flag == "--scheme") {
-      const auto it = schemes.find(next());
-      if (it == schemes.end()) fail("unknown scheme");
-      config.scheme = it->second;
-    } else if (flag == "--online") {
-      config.antidope.online_learning = true;
-    } else if (flag == "--per-node") {
-      config.antidope.per_node_throttling = true;
-    } else if (flag == "--pool-fraction") {
-      config.antidope.suspect_pool_fraction = number_arg(flag, next());
-    } else if (flag == "--normal-rps") {
-      config.normal_rps = number_arg(flag, next());
-    } else if (flag == "--attack-rps") {
-      config.attack_rps = number_arg(flag, next());
-    } else if (flag == "--attack-type") {
-      const auto it = attack_types.find(next());
-      if (it == attack_types.end()) fail("unknown attack type");
-      config.attack_mixture = it->second;
-    } else if (flag == "--agents") {
-      config.attack_agents =
-          static_cast<unsigned>(number_arg(flag, next()));
-    } else if (flag == "--attack-start-s") {
-      config.attack_start = seconds(number_arg(flag, next()));
-    } else if (flag == "--duration-s") {
-      config.duration = seconds(number_arg(flag, next()));
-    } else if (flag == "--seed") {
-      config.seed = static_cast<std::uint64_t>(number_arg(flag, next()));
-    } else if (flag == "--csv") {
-      csv_path = next();
-    } else if (flag == "--power-csv") {
-      power_csv_path = next();
-    } else if (flag == "--soc-csv") {
-      soc_csv_path = next();
-    } else if (flag == "--metrics-out") {
-      metrics_path = next();
-    } else if (flag == "--trace-out") {
-      trace_path = next();
-    } else if (flag == "--alerts") {
-      want_alerts = true;
-    } else if (flag == "--spans") {
-      want_spans = true;
-    } else if (flag == "--forensics-out") {
-      forensics_path = next();
-      want_spans = true;
-    } else if (flag == "--trace-cap") {
-      trace_cap = static_cast<std::size_t>(number_arg(flag, next()));
-    } else if (flag == "--incidents-out") {
-      incidents_path = next();
-      want_spans = true;
-    } else if (flag == "--dump-incident-at") {
-      config.dump_incident_at = seconds(number_arg(flag, next()));
-    } else if (flag == "--alert-hysteresis") {
-      const std::string value = next();
-      const auto colon = value.find(':');
-      if (colon == std::string::npos) {
-        fail("--alert-hysteresis wants RAISE:CLEAR, e.g. 3:5");
-      }
-      config.alert_raise_windows = static_cast<unsigned>(
-          number_arg(flag, value.substr(0, colon)));
-      config.alert_clear_windows = static_cast<unsigned>(
-          number_arg(flag, value.substr(colon + 1)));
-    } else if (flag == "--metrics-percentiles") {
-      metrics_percentiles = true;
-    } else if (flag == "--sweep-schemes") {
-      sweep_schemes = next();
-      sweep_mode = true;
-    } else if (flag == "--sweep-budgets") {
-      sweep_budgets = next();
-      sweep_mode = true;
-    } else if (flag == "--sweep-attacks") {
-      sweep_attacks = next();
-      sweep_mode = true;
-    } else if (flag == "--sweep-seeds") {
-      sweep_seeds = next();
-      sweep_mode = true;
-    } else if (flag == "--sweep-json") {
-      sweep_json_path = next();
-      sweep_mode = true;
-    } else if (flag == "--sweep-csv") {
-      sweep_csv_path = next();
-      sweep_mode = true;
-    } else if (flag == "--threads") {
-      threads = static_cast<std::size_t>(number_arg(flag, next()));
-    } else {
-      fail("unknown flag: " + flag);
-    }
-  }
-  if (config.attack_zone < -1 ||
-      config.attack_zone >= static_cast<int>(config.num_zones)) {
-    fail("--attack-zone " + std::to_string(config.attack_zone) +
-         " is outside the site's " + std::to_string(config.num_zones) +
-         " zone(s)");
-  }
-
-  if (sweep_mode) {
-    sweep::GridSpec grid;
-    grid.base = config;
-    try {
-      if (!sweep_schemes.empty()) {
-        grid.schemes = sweep::parse_scheme_list(sweep_schemes);
-      }
-      if (!sweep_budgets.empty()) {
-        grid.budgets = sweep::parse_budget_list(sweep_budgets);
-      }
-      if (!sweep_attacks.empty()) {
-        grid.attacks =
-            sweep::parse_attack_list(sweep_attacks, grid.base.duration);
-      }
-      if (!sweep_seeds.empty()) {
-        grid.seeds = sweep::parse_seed_list(sweep_seeds);
-      }
-    } catch (const std::exception& e) {
-      fail(e.what());
-    }
-
-    const auto sweep_result =
-        sweep::SweepRunner({.threads = threads}).run(grid);
-    std::cout << "== dopesim sweep: " << sweep_result.runs.size()
-              << " runs (" << sweep_result.failures << " failed) ==\n\n";
-    TextTable table({"run", "mean (ms)", "p90 (ms)", "availability",
-                     "peak (W)", "status"});
-    for (const auto& run : sweep_result.runs) {
-      if (run.ok) {
-        table.row(run.point.label(), run.result.mean_ms,
-                  run.result.p90_ms, run.result.availability,
-                  run.result.peak_power.value(), "ok");
-      } else {
-        table.row(run.point.label(), "-", "-", "-", "-",
-                  "FAILED: " + run.error);
+        args.unknown();
       }
     }
-    table.print(std::cout);
-
-    if (!sweep_json_path.empty()) {
-      std::ofstream out(sweep_json_path);
-      if (!out) fail("cannot write " + sweep_json_path);
-      sweep::write_json(out, grid, sweep_result);
-      std::cout << "\nwrote " << sweep_json_path << "\n";
-    }
-    if (!sweep_csv_path.empty()) {
-      std::ofstream out(sweep_csv_path);
-      if (!out) fail("cannot write " + sweep_csv_path);
-      sweep::write_csv(out, sweep_result);
-      std::cout << "wrote " << sweep_csv_path << "\n";
-    }
-    return sweep_result.failures == 0 ? 0 : 1;
+    sweep::check_scenario_flags(config);
+  } catch (const std::exception& e) {
+    fail(e.what());
   }
 
   std::unique_ptr<obs::Hub> hub;
@@ -404,7 +164,12 @@ int main(int argc, char** argv) {
     config.trace_cap = trace_cap;
   }
 
-  const auto r = scenario::run_scenario(config);
+  scenario::ScenarioResult r;
+  try {
+    r = scenario::run_scenario(config);
+  } catch (const std::exception& e) {
+    fail(e.what());  // a scenario the flags describe but cannot run
+  }
 
   std::cout << "== dopesim: " << r.scheme << " @ " << r.budget.value()
             << " W, "

@@ -11,19 +11,19 @@
 //   $ ./dopefuzz --cases 200 --seed 1 --threads 8
 //   $ ./dopefuzz --case-seed 0xdeadbeef --repro fail.repro.json
 //   $ ./dopefuzz --replay fail.repro.json
-#include <atomic>
-#include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/argv.hpp"
 #include "fuzz/domain.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/repro.hpp"
-#include "obs/flight.hpp"
 #include "obs/hub.hpp"
 #include "obs/live.hpp"
 #include "scenario/scenario.hpp"
@@ -90,23 +90,16 @@ void write_incident_file(const std::string& repro_path,
   }
   path += ".incident.json";
   try {
-    obs::HubConfig hub_config;
-    hub_config.enable_spans = true;
-    hub_config.enable_timeseries = true;
-    hub_config.enable_flight = true;
-    obs::Hub hub(hub_config);
-    scenario::ScenarioConfig config =
-        fuzz::materialize(fuzz_case, fuzz_case.scheme);
-    config.obs = &hub;
-    config.default_alert_rules = true;
-    config.run_label = fuzz_case.label();
-    scenario::run_scenario(config);
+    std::string bundle;
+    scenario::run_capturing_incidents(
+        fuzz::materialize(fuzz_case, fuzz_case.scheme), fuzz_case.label(),
+        bundle);
     std::ofstream out(path);
     if (!out) {
       std::cerr << "dopefuzz: cannot write " << path << "\n";
       return;
     }
-    hub.flight()->write_json(out);
+    out << bundle;
     std::cout << "wrote " << path << "\n";
   } catch (const std::exception& e) {
     std::cerr << "dopefuzz: incident capture failed: " << e.what() << "\n";
@@ -175,57 +168,45 @@ int main(int argc, char** argv) {
   bool have_case_seed = false;
   long live_interval_ms = 1000;
 
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) fail("missing value for " + flag);
-      return args[++i];
-    };
-    const auto number = [&](const std::string& value) {
-      try {
-        return std::stod(value);
-      } catch (...) {
-        fail("bad numeric value for " + flag + ": " + value);
+  try {
+    cli::ArgCursor args(argc, argv);
+    while (args.next()) {
+      const std::string& flag = args.flag();
+      if (flag == "--help" || flag == "-h") {
+        print_help();
+        return 0;
+      } else if (flag == "--cases") {
+        options.cases = args.count();
+      } else if (flag == "--seed") {
+        options.campaign_seed = args.seed();
+      } else if (flag == "--threads") {
+        options.threads = args.count();
+      } else if (flag == "--no-shrink") {
+        options.shrink_failures = false;
+      } else if (flag == "--no-determinism") {
+        options.oracle.check_determinism = false;
+      } else if (flag == "--case-seed") {
+        case_seed = args.seed();
+        have_case_seed = true;
+      } else if (flag == "--replay") {
+        replay_path = args.value();
+      } else if (flag == "--repro") {
+        repro_path = args.value();
+      } else if (flag == "--json") {
+        json_path = args.value();
+      } else if (flag == "--live") {
+        live_path = args.value();
+      } else if (flag == "--live-interval-ms") {
+        live_interval_ms = static_cast<long>(args.count(LONG_MAX));
+        if (live_interval_ms <= 0) {
+          throw std::invalid_argument("--live-interval-ms must be positive");
+        }
+      } else {
+        args.unknown();
       }
-    };
-    const auto seed_value = [&](const std::string& value) {
-      try {
-        return std::stoull(value, nullptr, 0);  // accepts 0x prefixes
-      } catch (...) {
-        fail("bad seed value for " + flag + ": " + value);
-      }
-    };
-    if (flag == "--help" || flag == "-h") {
-      print_help();
-      return 0;
-    } else if (flag == "--cases") {
-      options.cases = static_cast<std::size_t>(number(next()));
-    } else if (flag == "--seed") {
-      options.campaign_seed = seed_value(next());
-    } else if (flag == "--threads") {
-      options.threads = static_cast<std::size_t>(number(next()));
-    } else if (flag == "--no-shrink") {
-      options.shrink_failures = false;
-    } else if (flag == "--no-determinism") {
-      options.oracle.check_determinism = false;
-    } else if (flag == "--case-seed") {
-      case_seed = seed_value(next());
-      have_case_seed = true;
-    } else if (flag == "--replay") {
-      replay_path = next();
-    } else if (flag == "--repro") {
-      repro_path = next();
-    } else if (flag == "--json") {
-      json_path = next();
-    } else if (flag == "--live") {
-      live_path = next();
-    } else if (flag == "--live-interval-ms") {
-      live_interval_ms = static_cast<long>(number(next()));
-      if (live_interval_ms <= 0) fail("--live-interval-ms must be positive");
-    } else {
-      fail("unknown flag: " + flag);
     }
+  } catch (const std::exception& e) {
+    fail(e.what());
   }
   if (have_case_seed && !replay_path.empty()) {
     fail("--case-seed and --replay are mutually exclusive");
@@ -250,65 +231,18 @@ int main(int argc, char** argv) {
   options.obs = &hub;
   options.live = live_path.empty() ? nullptr : &live;
 
-  // Live drainer: a host-side thread that periodically snapshots the tap
-  // and refreshes the progress artifacts while the campaign runs. Reads
-  // are wait-free for the fuzz workers; the files are replaced via
-  // rename so a concurrent `cat`/scrape never sees a partial write.
-  std::thread drainer;
-  std::atomic<bool> drain_stop{false};
-  if (!live_path.empty()) {
-    std::string prom_path = live_path;
-    if (prom_path.size() > 5 &&
-        prom_path.compare(prom_path.size() - 5, 5, ".json") == 0) {
-      prom_path.resize(prom_path.size() - 5);
-    }
-    prom_path += ".prom";
-    drainer = std::thread([&live, &drain_stop, live_path, prom_path,
-                           live_interval_ms] {
-      obs::LiveSnapshot snap;
-      std::uint64_t last_seen = 0;
-      const auto emit = [&] {
-        if (!live.latest(snap) || snap.seq == last_seen) return;
-        last_seen = snap.seq;
-        obs::replace_live_json(live_path, snap);
-        obs::replace_live_prometheus(prom_path, snap);
-        std::cerr << "dopefuzz: " << snap.runs_completed << "/"
-                  << snap.runs_total << " cases";
-        if (snap.runs_failed > 0) {
-          std::cerr << " (" << snap.runs_failed << " FAILED)";
-        }
-        if (snap.wall_ms_count > 0) {
-          std::cerr << ", mean "
-                    << snap.wall_ms_sum /
-                           static_cast<double>(snap.wall_ms_count)
-                    << " ms/case";
-        }
-        std::cerr << "\n";
-      };
-      long slept_ms = live_interval_ms;  // emit immediately on start
-      while (!drain_stop.load(std::memory_order_acquire)) {
-        if (slept_ms >= live_interval_ms) {
-          slept_ms = 0;
-          emit();
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        slept_ms += 50;
-      }
-      emit();  // final state, including done=true
-    });
-  }
-
   fuzz::CampaignResult result;
-  try {
-    result = fuzz::run_campaign(options);
-  } catch (const std::exception& e) {
-    drain_stop.store(true, std::memory_order_release);
-    if (drainer.joinable()) drainer.join();
-    fail(e.what());
-  }
-  if (drainer.joinable()) {
-    drain_stop.store(true, std::memory_order_release);
-    drainer.join();
+  {
+    std::optional<obs::LiveDrainer> drainer;
+    if (!live_path.empty()) {
+      drainer.emplace(live, live_path, "dopefuzz", "case", live_interval_ms);
+    }
+    try {
+      result = fuzz::run_campaign(options);
+    } catch (const std::exception& e) {
+      drainer.reset();
+      fail(e.what());
+    }
   }
 
   std::cout << "== dopefuzz: " << result.cases.size() << " cases, "

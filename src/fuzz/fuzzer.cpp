@@ -1,6 +1,5 @@
 #include "fuzz/fuzzer.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -97,14 +96,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
           }
         }
         if (options.live != nullptr) {
-          ++tally.runs_completed;
-          if (failed[i] != 0) ++tally.runs_failed;
-          tally.wall_ms_sum += elapsed_ms;
-          tally.wall_ms_min = tally.wall_ms_count == 0
-                                  ? elapsed_ms
-                                  : std::min(tally.wall_ms_min, elapsed_ms);
-          tally.wall_ms_max = std::max(tally.wall_ms_max, elapsed_ms);
-          ++tally.wall_ms_count;
+          tally.record(failed[i] == 0, elapsed_ms);
           options.live->publish(tally);
         }
       }

@@ -41,7 +41,8 @@ struct CampaignOptions {
   std::size_t shrink_max_attempts = 128;
   /// Optional progress hub (see file comment). Caller owns.
   obs::Hub* obs = nullptr;
-  /// Optional live telemetry tap (lock-free reader side). Caller owns.
+  /// Optional live telemetry tap: one snapshot per finished case, read
+  /// by a drainer thread. Caller owns.
   obs::LiveTap* live = nullptr;
 };
 

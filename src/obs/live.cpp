@@ -1,87 +1,43 @@
 #include "obs/live.hpp"
 
-#include <bit>
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "obs/json.hpp"
 
 namespace dope::obs {
 
-namespace {
-
-std::uint64_t to_word(double v) { return std::bit_cast<std::uint64_t>(v); }
-double from_word(std::uint64_t w) { return std::bit_cast<double>(w); }
-
-void pack(const LiveSnapshot& snap, std::uint64_t (&words)[9]) {
-  words[0] = snap.seq;
-  words[1] = snap.runs_total;
-  words[2] = snap.runs_completed;
-  words[3] = snap.runs_failed;
-  words[4] = to_word(snap.wall_ms_sum);
-  words[5] = to_word(snap.wall_ms_min);
-  words[6] = to_word(snap.wall_ms_max);
-  words[7] = snap.wall_ms_count;
-  words[8] = snap.done ? 1 : 0;
+void LiveSnapshot::record(bool ok, double wall_ms) {
+  ++runs_completed;
+  if (!ok) ++runs_failed;
+  wall_ms_sum += wall_ms;
+  wall_ms_min = wall_ms_count == 0 ? wall_ms : std::min(wall_ms_min, wall_ms);
+  wall_ms_max = std::max(wall_ms_max, wall_ms);
+  ++wall_ms_count;
 }
-
-void unpack(const std::uint64_t (&words)[9], LiveSnapshot& snap) {
-  snap.seq = words[0];
-  snap.runs_total = words[1];
-  snap.runs_completed = words[2];
-  snap.runs_failed = words[3];
-  snap.wall_ms_sum = from_word(words[4]);
-  snap.wall_ms_min = from_word(words[5]);
-  snap.wall_ms_max = from_word(words[6]);
-  snap.wall_ms_count = words[7];
-  snap.done = words[8] != 0;
-}
-
-}  // namespace
 
 void LiveTap::publish(LiveSnapshot snap) {
-  const std::uint64_t seq = next_seq_++;
-  snap.seq = seq;
-  Slot& slot = slots_[seq % kSlots];
-
-  std::uint64_t words[kWords];
-  pack(snap, words);
-
-  // Seqlock write: mark the slot odd, store the payload, mark it even,
-  // then advance head. Readers that catch the slot mid-write see an odd
-  // or changed counter and retry.
-  const std::uint64_t mark = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(mark + 1, std::memory_order_release);
-  for (std::size_t i = 0; i < kWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(mark + 2, std::memory_order_release);
-  head_.store(seq, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mu_);
+  snap.seq = latest_.seq + 1;
+  latest_ = snap;
 }
 
 bool LiveTap::latest(LiveSnapshot& out) const {
-  for (int attempt = 0; attempt < 1024; ++attempt) {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (head == 0) return false;
-    const Slot& slot = slots_[head % kSlots];
-    const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 % 2 != 0) continue;  // producer mid-write; retry
-    std::uint64_t words[kWords];
-    for (std::size_t i = 0; i < kWords; ++i) {
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
-    if (s1 != s2) continue;  // torn read; retry
-    unpack(words, out);
-    // With kSlots > 1 the slot we read may already hold a *newer*
-    // snapshot than `head` advertised — that is fine (still a complete
-    // snapshot); it can never hold an older one.
-    return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (latest_.seq == 0) return false;
+  out = latest_;
+  return true;
+}
+
+std::uint64_t LiveTap::published() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return latest_.seq;
 }
 
 void write_live_json(std::ostream& out, const LiveSnapshot& snap) {
@@ -132,8 +88,7 @@ void write_live_prometheus(std::ostream& out, const LiveSnapshot& snap) {
 
 namespace {
 
-bool replace_with(const std::string& path,
-                  const std::string& contents) {
+bool replace_with(const std::string& path, const std::string& contents) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::trunc);
@@ -146,19 +101,71 @@ bool replace_with(const std::string& path,
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
-}  // namespace
-
-bool replace_live_json(const std::string& path, const LiveSnapshot& snap) {
-  std::ostringstream buf;
-  write_live_json(buf, snap);
-  return replace_with(path, buf.str());
+std::string prom_sibling(std::string path) {
+  const std::string suffix = ".json";
+  if (path.size() > suffix.size() &&
+      path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
+          0) {
+    path.resize(path.size() - suffix.size());
+  }
+  return path + ".prom";
 }
 
-bool replace_live_prometheus(const std::string& path,
-                             const LiveSnapshot& snap) {
-  std::ostringstream buf;
-  write_live_prometheus(buf, snap);
-  return replace_with(path, buf.str());
+}  // namespace
+
+LiveDrainer::LiveDrainer(const LiveTap& tap, std::string json_path,
+                         std::string tool, std::string unit,
+                         long interval_ms)
+    : tap_(tap),
+      json_path_(std::move(json_path)),
+      prom_path_(prom_sibling(json_path_)),
+      tool_(std::move(tool)),
+      unit_(std::move(unit)),
+      interval_ms_(interval_ms),
+      thread_([this] { loop(); }) {}
+
+LiveDrainer::~LiveDrainer() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  wake_.notify_all();
+  thread_.join();
+}
+
+void LiveDrainer::loop() {
+  for (;;) {
+    emit();
+    std::unique_lock<std::mutex> lock(mu_);
+    // The analysis cannot see that a condition-variable predicate runs
+    // with the waiter's lock re-acquired.
+    wake_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
+                   [this]() NO_THREAD_SAFETY_ANALYSIS { return stopping_; });
+    if (stopping_) break;
+  }
+  emit();  // final state, including done=true
+}
+
+void LiveDrainer::emit() {
+  LiveSnapshot snap;
+  if (!tap_.latest(snap) || snap.seq == last_seq_) return;
+  last_seq_ = snap.seq;
+  std::ostringstream json, prom;
+  write_live_json(json, snap);
+  write_live_prometheus(prom, snap);
+  replace_with(json_path_, json.str());
+  replace_with(prom_path_, prom.str());
+  std::cerr << tool_ << ": " << snap.runs_completed << "/"
+            << snap.runs_total << " " << unit_ << "s";
+  if (snap.runs_failed > 0) {
+    std::cerr << " (" << snap.runs_failed << " failed)";
+  }
+  if (snap.wall_ms_count > 0) {
+    std::cerr << ", mean "
+              << snap.wall_ms_sum / static_cast<double>(snap.wall_ms_count)
+              << " ms/" << unit_;
+  }
+  std::cerr << "\n";
 }
 
 }  // namespace dope::obs

@@ -1,31 +1,23 @@
-// Live sweep telemetry: a lock-free snapshot ring plus file exporters.
+// Live progress telemetry: a latest-snapshot tap and the thread that
+// drains it to files.
 //
-// A multi-hour `dope::sweep` run is otherwise a black box until exit.
-// The sweep's completion path (single producer) publishes a small
-// fixed-size `LiveSnapshot` into a seqlock ring; a drainer thread in the
-// CLI reads the latest snapshot wait-free — without ever blocking the
-// worker that published it — and emits progress lines, an atomically
-// replaced `live_metrics.json`, and a Prometheus text-format sibling.
-//
-// The ring stores snapshots as relaxed atomic words guarded by an
-// acquire/release sequence counter per slot (odd = write in progress),
-// so torn reads are detected and retried rather than observed: the
-// classic seqlock, expressed in atomics so TSan agrees it is race-free.
-// Snapshots are host-side telemetry only — nothing here feeds back into
-// simulation results, which stay byte-identical with or without a tap.
-//
-// Thread-safety analysis (common/thread_annotations.hpp): a seqlock has
-// no capability clang's -Wthread-safety lane can model — the protocol
-// lives in the atomics, and TSan (not the static analysis) is the tier
-// that checks it. The single-producer contract on `publish` / the
-// producer-only `next_seq_` is enforced where publishers actually run:
-// sweep.cpp calls publish() only under ProgressBoard::mu (GUARDED_BY).
+// A long sweep or fuzz campaign publishes a small `LiveSnapshot` into a
+// `LiveTap` after every finished run; a `LiveDrainer` in the CLI copies
+// the latest one into an atomically replaced JSON file and a Prometheus
+// text sibling, and prints progress lines. The tap is one snapshot
+// behind a mutex: publishers already serialise their tallies under
+// their own lock, so it is uncontended, and a reader can never see a
+// torn snapshot. Nothing here feeds back into simulation results.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <string>
+#include <thread>
+
+#include "common/thread_annotations.hpp"
 
 namespace dope::obs {
 
@@ -43,9 +35,13 @@ struct LiveSnapshot {
   std::uint64_t wall_ms_count = 0;
   /// True on the final snapshot, after the grid has drained.
   bool done = false;
+
+  /// Tallies one finished run: completion and failure counts plus its
+  /// wall-clock time.
+  void record(bool ok, double wall_ms);
 };
 
-/// Single-producer / multi-reader snapshot ring.
+/// The latest published snapshot, readable from any thread.
 class LiveTap {
  public:
   LiveTap() = default;
@@ -53,33 +49,48 @@ class LiveTap {
   LiveTap(const LiveTap&) = delete;
   LiveTap& operator=(const LiveTap&) = delete;
 
-  /// Publishes `snap` (its `seq` is assigned). Single producer only.
-  void publish(LiveSnapshot snap);
+  /// Publishes `snap`, assigning the next `seq`.
+  void publish(LiveSnapshot snap) EXCLUDES(mu_);
 
-  /// Copies the most recent snapshot into `out`; false when nothing has
-  /// been published yet. Wait-free for the producer; the reader retries
-  /// while the producer is mid-write on the same slot.
-  bool latest(LiveSnapshot& out) const;
+  /// Copies the most recent snapshot into `out`; false (leaving `out`
+  /// untouched) when nothing has been published yet.
+  bool latest(LiveSnapshot& out) const EXCLUDES(mu_);
 
-  /// Snapshots published so far (producer-side count).
-  std::uint64_t published() const {
-    return head_.load(std::memory_order_acquire);
-  }
+  /// Snapshots published so far.
+  std::uint64_t published() const EXCLUDES(mu_);
 
  private:
-  static constexpr std::size_t kSlots = 8;
-  static constexpr std::size_t kWords = 9;
+  mutable std::mutex mu_;
+  LiveSnapshot latest_ GUARDED_BY(mu_);  // seq 0: never published
+};
 
-  struct Slot {
-    /// Seqlock: odd while the producer is writing this slot.
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> words[kWords] = {};
-  };
+/// A host-side thread that, every `interval_ms` and once more when it is
+/// destroyed, copies the tap's latest snapshot — when it is new — into
+/// `json_path` and its `.prom` sibling (".json" replaced; each file
+/// atomically replaced) and prints a "<tool>: 7/12 <unit>s, mean 14.5
+/// ms/<unit>" line to stderr. A tap never published writes no file.
+class LiveDrainer {
+ public:
+  LiveDrainer(const LiveTap& tap, std::string json_path, std::string tool,
+              std::string unit, long interval_ms);
+  /// Wakes the thread for its final emit and joins it.
+  ~LiveDrainer();
 
-  Slot slots_[kSlots];
-  /// Sequence number of the latest fully published snapshot.
-  std::atomic<std::uint64_t> head_{0};
-  std::uint64_t next_seq_ = 1;  // producer-only
+  LiveDrainer(const LiveDrainer&) = delete;
+  LiveDrainer& operator=(const LiveDrainer&) = delete;
+
+ private:
+  void loop() EXCLUDES(mu_);
+  void emit();
+
+  const LiveTap& tap_;
+  const std::string json_path_, prom_path_, tool_, unit_;
+  const long interval_ms_;
+  std::uint64_t last_seq_ = 0;  // drainer thread only
+  std::mutex mu_;
+  std::condition_variable wake_;
+  bool stopping_ GUARDED_BY(mu_) = false;
+  std::thread thread_;
 };
 
 /// Writes `snap` as a JSON object.
@@ -88,13 +99,5 @@ void write_live_json(std::ostream& out, const LiveSnapshot& snap);
 /// Writes `snap` in Prometheus text exposition format
 /// (`dope_sweep_*` gauges).
 void write_live_prometheus(std::ostream& out, const LiveSnapshot& snap);
-
-/// Atomically replaces `path` with the snapshot's JSON (write to a
-/// `.tmp` sibling, then rename). Returns false on I/O failure.
-bool replace_live_json(const std::string& path, const LiveSnapshot& snap);
-
-/// Same, in Prometheus text format.
-bool replace_live_prometheus(const std::string& path,
-                             const LiveSnapshot& snap);
 
 }  // namespace dope::obs

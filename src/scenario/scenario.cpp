@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <ostream>
+#include <sstream>
 #include <utility>
 
 #include "common/csv.hpp"
 #include "common/expect.hpp"
-#include "common/parallel.hpp"
 #include "obs/flight.hpp"
 #include "obs/hub.hpp"
 #include "obs/timeseries.hpp"
@@ -411,14 +411,22 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   return result;
 }
 
-std::vector<ScenarioResult> run_scenarios(
-    const std::vector<ScenarioConfig>& configs, std::size_t threads) {
-  std::vector<ScenarioResult> results(configs.size());
-  parallel_for(
-      configs.size(),
-      [&](std::size_t i) { results[i] = run_scenario(configs[i]); },
-      threads);
-  return results;
+ScenarioResult run_capturing_incidents(ScenarioConfig config,
+                                       const std::string& label,
+                                       std::string& bundle) {
+  obs::HubConfig hub_config;
+  hub_config.enable_spans = true;
+  hub_config.enable_timeseries = true;
+  hub_config.enable_flight = true;
+  obs::Hub hub(hub_config);
+  config.obs = &hub;
+  config.default_alert_rules = true;
+  config.run_label = label;
+  ScenarioResult result = run_scenario(config);
+  std::ostringstream out;
+  hub.flight()->write_json(out);
+  bundle = out.str();
+  return result;
 }
 
 void write_results_csv(std::ostream& out,

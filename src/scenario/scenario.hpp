@@ -121,9 +121,9 @@ struct ScenarioConfig {
   // --- observability ---
   /// Optional metrics/trace/alert hub attached to the run's engine. The
   /// caller owns it and it must outlive the call. One hub per scenario:
-  /// `run_scenarios` executes entries concurrently, so never share a hub
-  /// across configs in one batch. Instrumentation only observes — results
-  /// are byte-identical with and without a hub.
+  /// hubs are single-threaded, so concurrent runs (a sweep's workers)
+  /// never share one. Instrumentation only observes — results are
+  /// byte-identical with and without a hub.
   obs::Hub* obs = nullptr;
   /// Install the standard power-emergency watchdog rules (budget breach,
   /// utility feed over budget, battery below reserve, and — when the
@@ -218,12 +218,14 @@ struct ScenarioResult {
 /// Builds, runs, and summarises one scenario.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
-/// Runs one scenario per entry, in parallel when hardware allows.
-/// `threads == 0` selects the hardware concurrency. Results are always
-/// in `configs` order. (For grids over named axes with per-run failure
-/// capture, prefer `sweep::SweepRunner`.)
-std::vector<ScenarioResult> run_scenarios(
-    const std::vector<ScenarioConfig>& configs, std::size_t threads = 0);
+/// Runs `config` with a private incident-capture hub — spans, per-slot
+/// series, the flight recorder and the default alert rules, with
+/// `label` as the run label — and stores the flight recorder's bundle
+/// (a dope_incident_bundle JSON document) in `bundle`. Any hub on
+/// `config` is replaced; the result is the one `run_scenario` returns.
+ScenarioResult run_capturing_incidents(ScenarioConfig config,
+                                       const std::string& label,
+                                       std::string& bundle);
 
 /// Writes a CSV summary (one row per result) for external plotting:
 /// scheme, budget, latency stats, availability, power, energy columns.

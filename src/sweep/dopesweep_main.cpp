@@ -1,25 +1,29 @@
 // dopesweep — declarative parameter-sweep driver.
 //
 // Takes a grid spec (scheme × attack × budget × seed axes over one base
-// scenario), shards the cross-product onto a thread pool, and merges the
-// results deterministically in grid order — the same bytes come out of
-// --json for any --threads value.
+// scenario, read with dopesim_cli's scenario flags), shards the
+// cross-product onto a thread pool, and merges the results
+// deterministically in grid order — the same bytes come out of --json
+// for any --threads value.
 //
 //   $ ./dopesweep --schemes capping,antidope --budgets normal,low
 //         --attacks none,dope:400 --seeds 42,43 --threads 8
 //         --json sweep.json --csv sweep.csv
-#include <atomic>
-#include <chrono>
+//   $ ./dopesweep --zones 2 --attack-zone 0 --divider headroom
+//         --schemes none,antidope --attacks none,dope:600
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "common/argv.hpp"
 #include "common/table.hpp"
 #include "obs/hub.hpp"
 #include "obs/live.hpp"
+#include "sweep/flags.hpp"
 #include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
 
@@ -37,13 +41,15 @@ grid axes (comma-separated; an omitted axis inherits the base scenario)
   --schemes LIST       none | capping | shaving | token | antidope
   --budgets LIST       normal | high | medium | low
   --attacks LIST       none | dope:RPS | pulse:RPS:PERIOD_S
-  --seeds LIST         RNG seeds, e.g. 42,43,44
+  --seeds LIST         RNG seeds, e.g. 42,43,44 (accepts 0x hex)
 
-base scenario
-  --servers N          leaf nodes (default 8)
-  --normal-rps R       normal user rate (default 300)
-  --duration-s S       observation window (default 600)
+base scenario: the dopesim_cli scenario flags and defaults; an axis
+replaces the fields it names (--attacks replaces the whole attack)
 
+)";
+  std::cout << sweep::kScenarioFlagsHelp;
+  std::cout <<
+      R"(
 execution
   --threads N          worker threads; 0 = hardware concurrency (default)
   --json FILE          write the merged sweep report (deterministic bytes)
@@ -74,9 +80,7 @@ A run that throws is recorded as a failure (reported per run, exit code
 
 int main(int argc, char** argv) {
   sweep::GridSpec grid;
-  grid.base.scheme = scenario::SchemeKind::kAntiDope;
-  grid.base.budget = power::BudgetLevel::kLow;
-  grid.base.seed = 42;
+  grid.base = sweep::default_scenario();
 
   std::size_t threads = 0;
   std::string json_path, csv_path, incidents_path;
@@ -85,58 +89,43 @@ int main(int argc, char** argv) {
   std::string live_path;
   long live_interval_ms = 1000;
 
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) fail("missing value for " + flag);
-      return args[++i];
-    };
-    const auto number = [&](const std::string& value) {
-      try {
-        return std::stod(value);
-      } catch (...) {
-        fail("bad numeric value for " + flag + ": " + value);
-      }
-    };
-    if (flag == "--help" || flag == "-h") {
-      print_help();
-      return 0;
-    } else if (flag == "--schemes") {
-      schemes_csv = next();
-    } else if (flag == "--budgets") {
-      budgets_csv = next();
-    } else if (flag == "--attacks") {
-      attacks_csv = next();
-    } else if (flag == "--seeds") {
-      seeds_csv = next();
-    } else if (flag == "--servers") {
-      grid.base.num_servers = static_cast<std::size_t>(number(next()));
-    } else if (flag == "--normal-rps") {
-      grid.base.normal_rps = number(next());
-    } else if (flag == "--duration-s") {
-      grid.base.duration = seconds(number(next()));
-    } else if (flag == "--threads") {
-      threads = static_cast<std::size_t>(number(next()));
-    } else if (flag == "--json") {
-      json_path = next();
-    } else if (flag == "--csv") {
-      csv_path = next();
-    } else if (flag == "--incidents-out") {
-      incidents_path = next();
-    } else if (flag == "--progress") {
-      progress = true;
-    } else if (flag == "--live") {
-      live_path = next();
-    } else if (flag == "--live-interval-ms") {
-      live_interval_ms = static_cast<long>(number(next()));
-      if (live_interval_ms <= 0) fail("--live-interval-ms must be positive");
-    } else {
-      fail("unknown flag: " + flag);
-    }
-  }
-
   try {
+    cli::ArgCursor args(argc, argv);
+    while (args.next()) {
+      const std::string& flag = args.flag();
+      if (flag == "--help" || flag == "-h") {
+        print_help();
+        return 0;
+      } else if (flag == "--schemes") {
+        schemes_csv = args.value();
+      } else if (flag == "--budgets") {
+        budgets_csv = args.value();
+      } else if (flag == "--attacks") {
+        attacks_csv = args.value();
+      } else if (flag == "--seeds") {
+        seeds_csv = args.value();
+      } else if (flag == "--threads") {
+        threads = args.count();
+      } else if (flag == "--json") {
+        json_path = args.value();
+      } else if (flag == "--csv") {
+        csv_path = args.value();
+      } else if (flag == "--incidents-out") {
+        incidents_path = args.value();
+      } else if (flag == "--progress") {
+        progress = true;
+      } else if (flag == "--live") {
+        live_path = args.value();
+      } else if (flag == "--live-interval-ms") {
+        live_interval_ms = static_cast<long>(args.count(LONG_MAX));
+        if (live_interval_ms <= 0) {
+          throw std::invalid_argument("--live-interval-ms must be positive");
+        }
+      } else if (!sweep::read_scenario_flag(args, grid.base)) {
+        args.unknown();
+      }
+    }
+    sweep::check_scenario_flags(grid.base);
     if (!schemes_csv.empty()) {
       grid.schemes = sweep::parse_scheme_list(schemes_csv);
     }
@@ -158,60 +147,12 @@ int main(int argc, char** argv) {
                              .obs = &hub,
                              .live = live_path.empty() ? nullptr : &live,
                              .capture_incidents = !incidents_path.empty()});
-
-  // Live drainer: a host-side thread that periodically snapshots the tap
-  // and refreshes the progress artifacts while `run` blocks below. Reads
-  // are wait-free for the sweep workers; the files are replaced via
-  // rename so a concurrent `cat`/scrape never sees a partial write.
-  std::thread drainer;
-  std::atomic<bool> drain_stop{false};
+  std::optional<obs::LiveDrainer> drainer;
   if (!live_path.empty()) {
-    std::string prom_path = live_path;
-    if (prom_path.size() > 5 &&
-        prom_path.compare(prom_path.size() - 5, 5, ".json") == 0) {
-      prom_path.resize(prom_path.size() - 5);
-    }
-    prom_path += ".prom";
-    drainer = std::thread([&live, &drain_stop, live_path, prom_path,
-                           live_interval_ms] {
-      obs::LiveSnapshot snap;
-      std::uint64_t last_seen = 0;
-      const auto emit = [&] {
-        if (!live.latest(snap) || snap.seq == last_seen) return;
-        last_seen = snap.seq;
-        obs::replace_live_json(live_path, snap);
-        obs::replace_live_prometheus(prom_path, snap);
-        std::cerr << "dopesweep: " << snap.runs_completed << "/"
-                  << snap.runs_total << " runs";
-        if (snap.runs_failed > 0) {
-          std::cerr << " (" << snap.runs_failed << " failed)";
-        }
-        if (snap.wall_ms_count > 0) {
-          std::cerr << ", mean "
-                    << snap.wall_ms_sum /
-                           static_cast<double>(snap.wall_ms_count)
-                    << " ms/run";
-        }
-        std::cerr << "\n";
-      };
-      long slept_ms = live_interval_ms;  // emit immediately on start
-      while (!drain_stop.load(std::memory_order_acquire)) {
-        if (slept_ms >= live_interval_ms) {
-          slept_ms = 0;
-          emit();
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        slept_ms += 50;
-      }
-      emit();  // final state, including done=true
-    });
+    drainer.emplace(live, live_path, "dopesweep", "run", live_interval_ms);
   }
-
   const auto sweep_result = runner.run(grid);
-  if (drainer.joinable()) {
-    drain_stop.store(true, std::memory_order_release);
-    drainer.join();
-  }
+  drainer.reset();
 
   std::cout << "== dopesweep: " << sweep_result.runs.size() << " runs ("
             << sweep_result.failures << " failed) ==\n\n";

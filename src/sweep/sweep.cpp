@@ -1,16 +1,13 @@
 #include "sweep/sweep.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/argv.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_annotations.hpp"
-#include "obs/flight.hpp"
 
 namespace dope::sweep {
 
@@ -165,27 +162,12 @@ SweepResult SweepRunner::run(const GridSpec& grid) const {
       // (sweep.run_wall_ms); never reaches the merged report bytes.
       const auto start = std::chrono::steady_clock::now();
       try {
-        auto config = materialize(grid, record.point);
-        // Per-run hub: hubs are single-threaded, so incident capture
-        // builds one inside each worker task rather than sharing the
-        // runner's progress hub.
-        std::unique_ptr<obs::Hub> run_hub;
-        if (options_.capture_incidents) {
-          obs::HubConfig hub_config;
-          hub_config.enable_spans = true;
-          hub_config.enable_timeseries = true;
-          hub_config.enable_flight = true;
-          run_hub = std::make_unique<obs::Hub>(hub_config);
-          config.obs = run_hub.get();
-          config.default_alert_rules = true;
-          config.run_label = record.point.label();
-        }
-        record.result = scenario::run_scenario(config);
-        if (run_hub != nullptr) {
-          std::ostringstream bundle;
-          run_hub->flight()->write_json(bundle);
-          record.incident_bundle = bundle.str();
-        }
+        const auto config = materialize(grid, record.point);
+        record.result =
+            options_.capture_incidents
+                ? scenario::run_capturing_incidents(
+                      config, record.point.label(), record.incident_bundle)
+                : scenario::run_scenario(config);
         record.ok = true;
       } catch (const std::exception& e) {
         record.error = e.what();
@@ -205,16 +187,8 @@ SweepResult SweepRunner::run(const GridSpec& grid) const {
           board.wall_ms->observe(elapsed_ms);
         }
         if (options_.live != nullptr) {
-          obs::LiveSnapshot& tally = board.tally;
-          ++tally.runs_completed;
-          if (!record.ok) ++tally.runs_failed;
-          tally.wall_ms_sum += elapsed_ms;
-          tally.wall_ms_min = tally.wall_ms_count == 0
-                                  ? elapsed_ms
-                                  : std::min(tally.wall_ms_min, elapsed_ms);
-          tally.wall_ms_max = std::max(tally.wall_ms_max, elapsed_ms);
-          ++tally.wall_ms_count;
-          options_.live->publish(tally);
+          board.tally.record(record.ok, elapsed_ms);
+          options_.live->publish(board.tally);
         }
       }
     });
@@ -286,11 +260,9 @@ power::BudgetLevel parse_budget(const std::string& name) {
 AttackProfile parse_attack(const std::string& spec, Duration duration) {
   if (spec == "none") return AttackProfile::none();
   const auto parse_number = [&spec](const std::string& field) {
-    try {
-      return std::stod(field);
-    } catch (...) {
-      throw std::invalid_argument("bad attack spec: " + spec);
-    }
+    const auto value = cli::to_number(field);
+    if (!value) throw std::invalid_argument("bad attack spec: " + spec);
+    return *value;
   };
   const auto colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
@@ -337,11 +309,9 @@ std::vector<power::BudgetLevel> parse_budget_list(const std::string& csv) {
 std::vector<std::uint64_t> parse_seed_list(const std::string& csv) {
   std::vector<std::uint64_t> out;
   for (const auto& field : split_list(csv)) {
-    try {
-      out.push_back(std::stoull(field));
-    } catch (...) {
-      throw std::invalid_argument("bad seed: " + field);
-    }
+    const auto seed = cli::to_unsigned(field, 0);  // accepts 0x prefixes
+    if (!seed) throw std::invalid_argument("bad seed: " + field);
+    out.push_back(*seed);
   }
   return out;
 }

@@ -137,13 +137,13 @@ struct SweepOptions {
   /// Optional live telemetry tap: the runner publishes a snapshot when
   /// the sweep starts, after every finished run, and once more (with
   /// `done = true`) when the grid has drained. Any other thread may
-  /// `latest()` concurrently — publication is lock-free. Caller owns.
+  /// `latest()` concurrently (an `obs::LiveDrainer`, say). Caller owns.
   obs::LiveTap* live = nullptr;
-  /// Give every run its own private hub (spans + per-slot series +
-  /// flight recorder, default alert rules installed) and store the
-  /// resulting incident bundle in `RunRecord::incident_bundle`. The
-  /// per-run hubs are invisible to `SweepOptions::obs` and do not
-  /// change the runs' results.
+  /// Run every grid point through `scenario::run_capturing_incidents`
+  /// (a private hub per run: spans, per-slot series, flight recorder,
+  /// default alert rules) and store the resulting incident bundle in
+  /// `RunRecord::incident_bundle`. The per-run hubs are invisible to
+  /// `SweepOptions::obs` and do not change the runs' results.
   bool capture_incidents = false;
 };
 
@@ -168,9 +168,11 @@ std::vector<scenario::ScenarioResult> run_grid(const GridSpec& grid,
 
 // ---- declarative grid-spec parsing (CLI front-ends) ----
 //
-// Axis lists are comma-separated names; unknown names throw
+// Axis lists are comma-separated names; unknown names and numbers that
+// do not parse in full ("42abc", "dope:400abc", "-1" as a seed) throw
 // std::invalid_argument naming the offender. The grammar is what
-// `dopesweep --help` documents.
+// `dopesweep --help` documents; the base-scenario flags are in
+// sweep/flags.hpp.
 
 /// Splits "a,b,c" into trimmed non-empty elements.
 std::vector<std::string> split_list(const std::string& csv);

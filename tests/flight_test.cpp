@@ -418,17 +418,37 @@ TEST(FlightScenario, AttachedRecorderDoesNotPerturbResults) {
             traced.slot_stats.violation_slots);
 }
 
-// ------------------------------------------------ post-mortem render
+TEST(FlightScenario, CapturingIncidentsMatchesAHandBuiltHub) {
+  // run_capturing_incidents is the one recipe behind dopesweep
+  // --incidents-out and dopefuzz's .incident.json: it must equal a
+  // flight hub with default alert rules and the run label, attached by
+  // hand, in both the bundle bytes and the result.
+  std::string bundle;
+  const auto captured = scenario::run_capturing_incidents(
+      breaker_trip_scenario(), "cell-3", bundle);
 
-std::string scenario_bundle() {
   Hub hub = make_flight_hub();
   auto config = breaker_trip_scenario();
   config.obs = &hub;
   config.default_alert_rules = true;
-  scenario::run_scenario(config);
+  config.run_label = "cell-3";
+  const auto traced = scenario::run_scenario(config);
   std::ostringstream out;
   hub.flight()->write_json(out);
-  return out.str();
+
+  EXPECT_EQ(bundle, out.str());
+  EXPECT_NE(bundle.find("cell-3"), std::string::npos);
+  EXPECT_EQ(captured.mean_ms, traced.mean_ms);
+  EXPECT_EQ(captured.peak_power, traced.peak_power);
+  EXPECT_EQ(captured.energy.utility, traced.energy.utility);
+}
+
+// ------------------------------------------------ post-mortem render
+
+std::string scenario_bundle() {
+  std::string bundle;
+  scenario::run_capturing_incidents(breaker_trip_scenario(), "", bundle);
+  return bundle;
 }
 
 TEST(Report, MarkdownRendersTimelineAndSloBurn) {

@@ -2,8 +2,12 @@
 // trace recorder + exports, alert watchdog, and the end-to-end guarantee
 // that attaching a hub never perturbs simulation results.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -499,9 +503,9 @@ TEST(Live, PublishAssignsMonotoneSeqAndRoundTrips) {
 }
 
 TEST(Live, ConcurrentReaderAlwaysSeesConsistentSnapshot) {
-  // Seqlock torn-read check (runs under TSan in CI): the reader must
-  // only ever observe snapshots where the derived fields agree, even
-  // while the producer rewrites slots at full speed.
+  // Torn-read check (runs under TSan in CI): the reader must only ever
+  // observe snapshots where the derived fields agree, even while the
+  // producer publishes at full speed.
   LiveTap tap;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn{0};
@@ -585,6 +589,71 @@ TEST(Live, DrainLoopOverNeverPublishedTapSeesNothing) {
   write_live_prometheus(prom, LiveSnapshot{});
   EXPECT_NE(prom.str().find("dope_sweep_runs_total 0"),
             std::string::npos);
+}
+
+/// A fresh, empty directory under the system temp dir, removed on exit.
+struct TempDir {
+  std::filesystem::path path;
+  explicit TempDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             (name + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+};
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Live, DrainerFinalEmitWritesDoneJsonAndPromSibling) {
+  TempDir dir("dope-live-drainer");
+  const auto json = dir.path / "live_metrics.json";
+  LiveTap tap;
+  {
+    LiveDrainer drainer(tap, json.string(), "test", "run", 60'000);
+    LiveSnapshot snap;
+    snap.runs_total = 2;
+    snap.record(true, 4.0);
+    snap.record(false, 6.0);
+    snap.done = true;
+    tap.publish(snap);
+    // The 60 s interval never elapses, so the drainer's first emit or
+    // the final one on destruction picks this snapshot up.
+  }
+  const std::string written = slurp(json);
+  EXPECT_NE(written.find("\"done\": true"), std::string::npos) << written;
+  EXPECT_NE(written.find("\"runs_completed\": 2"), std::string::npos);
+  EXPECT_NE(written.find("\"runs_failed\": 1"), std::string::npos);
+  EXPECT_NE(written.find("\"wall_ms_mean\": 5"), std::string::npos);
+  EXPECT_NE(slurp(dir.path / "live_metrics.prom").find("dope_sweep_done 1"),
+            std::string::npos);
+}
+
+TEST(Live, DrainerOverNeverPublishedTapWritesNoFile) {
+  TempDir dir("dope-live-idle");
+  const auto json = dir.path / "live.json";
+  LiveTap tap;
+  { LiveDrainer drainer(tap, json.string(), "test", "run", 1); }
+  EXPECT_FALSE(std::filesystem::exists(json));
+  EXPECT_FALSE(std::filesystem::exists(dir.path / "live.prom"));
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path));
+}
+
+TEST(Live, RecordTalliesCountsAndWallClockStats) {
+  LiveSnapshot snap;
+  snap.record(true, 7.0);
+  snap.record(false, 3.0);
+  snap.record(true, 5.0);
+  EXPECT_EQ(snap.runs_completed, 3u);
+  EXPECT_EQ(snap.runs_failed, 1u);
+  EXPECT_EQ(snap.wall_ms_count, 3u);
+  EXPECT_EQ(snap.wall_ms_sum, 15.0);
+  EXPECT_EQ(snap.wall_ms_min, 3.0);
+  EXPECT_EQ(snap.wall_ms_max, 7.0);
 }
 
 // --------------------------------------------------------- obs edge cases

@@ -69,25 +69,6 @@ TEST(RunScenario, RatePlanDrivesNormalTraffic) {
               500.0);
 }
 
-TEST(RunScenarios, MatchesSequentialRuns) {
-  ScenarioConfig a;
-  a.scheme = SchemeKind::kCapping;
-  a.budget = power::BudgetLevel::kLow;
-  a.normal_rps = 100.0;
-  a.attack_rps = 200.0;
-  a.duration = kMinute;
-  ScenarioConfig b = a;
-  b.scheme = SchemeKind::kAntiDope;
-  const auto batch = run_scenarios({a, b});
-  ASSERT_EQ(batch.size(), 2u);
-  const auto ra = run_scenario(a);
-  const auto rb = run_scenario(b);
-  EXPECT_DOUBLE_EQ(batch[0].mean_ms, ra.mean_ms);
-  EXPECT_DOUBLE_EQ(batch[1].mean_ms, rb.mean_ms);
-  EXPECT_EQ(batch[0].scheme, "Capping");
-  EXPECT_EQ(batch[1].scheme, "Anti-DOPE");
-}
-
 TEST(Csv, ResultsRoundTripThroughHeaderedCsv) {
   ScenarioConfig config;
   config.duration = kSecond;
@@ -139,25 +120,10 @@ TEST(Scale, LargeClusterKeepsInvariants) {
   EXPECT_GT(r.normal_counts.completed, 100'000u);
 }
 
-TEST(RunScenarios, HonoursExplicitThreadCount) {
-  ScenarioConfig a;
-  a.normal_rps = 20.0;
-  a.duration = 10 * kSecond;
-  ScenarioConfig b = a;
-  b.scheme = SchemeKind::kCapping;
-  const auto serial = run_scenarios({a, b}, 1);
-  const auto parallel = run_scenarios({a, b}, 8);
-  ASSERT_EQ(serial.size(), 2u);
-  ASSERT_EQ(parallel.size(), 2u);
-  EXPECT_DOUBLE_EQ(serial[0].mean_ms, parallel[0].mean_ms);
-  EXPECT_DOUBLE_EQ(serial[1].mean_ms, parallel[1].mean_ms);
-}
-
 TEST(CliSweep, ThreadsFlagSmoke) {
-  // The grid `dopesim_cli --sweep-schemes capping,antidope
-  // --sweep-budgets normal,low --threads 2` builds, shrunk to a 10 s
-  // window: the --threads value feeds SweepRunner and must not change
-  // the merged results.
+  // The grid `dopesweep --schemes capping,antidope --budgets normal,low
+  // --threads 2` builds, shrunk to a 10 s window: the --threads value
+  // feeds SweepRunner and must not change the merged results.
   sweep::GridSpec grid;
   grid.base.num_servers = 4;
   grid.base.normal_rps = 50.0;

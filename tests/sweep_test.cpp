@@ -1,13 +1,18 @@
 // Tests for dope::sweep: grid expansion order, config materialisation,
 // per-run failure capture, progress metrics, the golden determinism
-// property (identical merged bytes for any thread count), and the
-// CLI-facing grid-spec parsers.
+// property (identical merged bytes for any thread count), the
+// CLI-facing grid-spec parsers, and the shared argv + scenario-flag
+// reader behind dopesim_cli and dopesweep.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/argv.hpp"
 #include "obs/hub.hpp"
+#include "sweep/flags.hpp"
 #include "sweep/report.hpp"
 #include "sweep/sweep.hpp"
 
@@ -245,6 +250,127 @@ TEST(Parse, AttackSpecs) {
   EXPECT_THROW(parse_attack("pulse:200:0", kMinute),
                std::invalid_argument);
   EXPECT_THROW(parse_attack("dope:x", kMinute), std::invalid_argument);
+}
+
+// ------------------------------------------------ argv + scenario flags
+
+/// Reads `argv` (program name omitted) the way dopesim_cli and
+/// dopesweep read their scenario flags.
+scenario::ScenarioConfig read_flags(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "dopesim_cli");
+  cli::ArgCursor args(static_cast<int>(argv.size()), argv.data());
+  auto config = default_scenario();
+  while (args.next()) {
+    if (!read_scenario_flag(args, config)) args.unknown();
+  }
+  check_scenario_flags(config);
+  return config;
+}
+
+TEST(Argv, ScenarioFlagsRejectMalformedInput) {
+  struct Case {
+    std::vector<const char*> argv;
+    const char* error;  // expected substring of the message
+  };
+  const Case cases[] = {
+      {{"--servers"}, "missing value for --servers"},
+      {{"--servers", "8abc"}, "bad count for --servers: 8abc"},
+      {{"--servers", "-1"}, "bad count for --servers: -1"},
+      {{"--servers", "2.5"}, "bad count for --servers"},
+      {{"--servers", " 8"}, "bad count for --servers"},
+      {{"--servers", ""}, "bad count for --servers"},
+      {{"--zones", "0"}, "--zones needs at least 1"},
+      {{"--zones", "-2"}, "bad count for --zones"},
+      {{"--agents", "-4"}, "bad count for --agents"},
+      {{"--agents", "4294967296"}, "bad count for --agents"},
+      {{"--seed", "42abc"}, "bad seed value for --seed: 42abc"},
+      {{"--seed", "-1"}, "bad seed value for --seed"},
+      {{"--seed", "1.5"}, "bad seed value for --seed"},
+      {{"--seed", "18446744073709551616"}, "bad seed value for --seed"},
+      {{"--normal-rps", "300x"}, "bad numeric value for --normal-rps"},
+      {{"--duration-s", "nan"}, "bad numeric value for --duration-s"},
+      {{"--duration-s", "1e999"}, "bad numeric value for --duration-s"},
+      {{"--attack-zone", "0.5"}, "bad integer value for --attack-zone"},
+      {{"--attack-zone", "1"}, "--attack-zone 1 is outside the site's 1"},
+      {{"--attack-zone", "-2"}, "--attack-zone -2 is outside"},
+      {{"--zones", "2", "--attack-zone", "2"}, "--attack-zone 2 is outside"},
+      {{"--scheme", "bogus"}, "unknown scheme: bogus"},
+      {{"--budget", "tiny"}, "unknown budget level: tiny"},
+      {{"--glb", "random"}, "unknown GLB policy: random"},
+      {{"--divider", "even"}, "unknown divider: even"},
+      {{"--attack-type", "sort"}, "unknown attack type: sort"},
+      {{"--bogus"}, "unknown flag: --bogus"},
+  };
+  for (const auto& c : cases) {
+    std::string joined;
+    for (const char* arg : c.argv) joined += std::string(arg) + " ";
+    SCOPED_TRACE(joined);
+    try {
+      read_flags(c.argv);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Argv, ScenarioFlagsReadExactValues) {
+  // 2^53 + 1: a round-trip through double would run seed ...992.
+  EXPECT_EQ(read_flags({"--seed", "9007199254740993"}).seed,
+            9007199254740993ull);
+  EXPECT_EQ(read_flags({"--seed", "0x2a"}).seed, 42u);
+
+  const auto config = read_flags(
+      {"--servers", "3", "--zones", "2", "--attack-zone", "1",
+       "--normal-rps", "1e2", "--agents", "16", "--divider", "headroom",
+       "--scheme", "capping", "--budget", "high", "--duration-s", "30"});
+  EXPECT_EQ(config.num_servers, 3u);
+  EXPECT_EQ(config.num_zones, 2u);
+  EXPECT_EQ(config.attack_zone, 1);
+  EXPECT_DOUBLE_EQ(config.normal_rps, 100.0);
+  EXPECT_EQ(config.attack_agents, 16u);
+  EXPECT_EQ(config.site_divider, site::DividerKind::kHeadroomAware);
+  EXPECT_EQ(config.scheme, scenario::SchemeKind::kCapping);
+  EXPECT_EQ(config.budget, power::BudgetLevel::kHigh);
+  EXPECT_EQ(config.duration, 30 * kSecond);
+
+  // No flags: the documented defaults.
+  const auto defaults = read_flags({});
+  EXPECT_EQ(defaults.scheme, scenario::SchemeKind::kAntiDope);
+  EXPECT_EQ(defaults.budget, power::BudgetLevel::kLow);
+  EXPECT_DOUBLE_EQ(defaults.attack_rps, 400.0);
+  EXPECT_EQ(defaults.seed, 42u);
+}
+
+TEST(Argv, CursorLeavesOtherFlagsToTheCaller) {
+  const char* argv[] = {"dopesweep", "--threads", "4", "--servers", "2"};
+  cli::ArgCursor args(5, argv);
+  auto config = default_scenario();
+  ASSERT_TRUE(args.next());
+  EXPECT_FALSE(read_scenario_flag(args, config));  // not consumed
+  EXPECT_EQ(args.flag(), "--threads");
+  EXPECT_EQ(args.count(), 4u);
+  ASSERT_TRUE(args.next());
+  EXPECT_TRUE(read_scenario_flag(args, config));
+  EXPECT_EQ(config.num_servers, 2u);
+  EXPECT_FALSE(args.next());
+}
+
+TEST(Argv, GridListsParseWholeFields) {
+  EXPECT_THROW(parse_seed_list("42abc"), std::invalid_argument);
+  EXPECT_THROW(parse_seed_list("-1"), std::invalid_argument);
+  EXPECT_THROW(parse_seed_list("1.5"), std::invalid_argument);
+  EXPECT_EQ(parse_seed_list("42, 0x2b"),
+            (std::vector<std::uint64_t>{42, 43}));
+  EXPECT_EQ(parse_seed_list("9007199254740993"),
+            (std::vector<std::uint64_t>{9007199254740993ull}));
+  EXPECT_THROW(parse_attack("dope:400abc", kMinute), std::invalid_argument);
+  EXPECT_THROW(parse_attack("pulse:300:10s", kMinute),
+               std::invalid_argument);
+  EXPECT_THROW(parse_attack("pulse:300x:10", kMinute),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse_attack("dope:4e2", kMinute).rps, 400.0);
 }
 
 }  // namespace

@@ -13,9 +13,10 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
+#include "common/argv.hpp"
 #include "obs/report.hpp"
 
 namespace {
@@ -47,28 +48,28 @@ int main(int argc, char** argv) {
   std::string bundle_path, out_path;
   bool want_json = false;
 
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) fail("missing value for " + flag);
-      return args[++i];
-    };
-    if (flag == "--help" || flag == "-h") {
-      print_help();
-      return 0;
-    } else if (flag == "--json") {
-      want_json = true;
-    } else if (flag == "-o" || flag == "--out") {
-      out_path = next();
-    } else if (!flag.empty() && flag[0] == '-' && flag != "-") {
-      fail("unknown flag: " + flag);
-    } else if (bundle_path.empty()) {
-      bundle_path = flag;
-    } else {
-      fail("only one bundle per invocation (got " + bundle_path +
-           " and " + flag + ")");
+  try {
+    dope::cli::ArgCursor args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--help" || arg == "-h") {
+        print_help();
+        return 0;
+      } else if (arg == "--json") {
+        want_json = true;
+      } else if (arg == "-o" || arg == "--out") {
+        out_path = args.value();
+      } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
+        args.unknown();
+      } else if (bundle_path.empty()) {
+        bundle_path = arg;
+      } else {
+        throw std::invalid_argument("only one bundle per invocation (got " +
+                                    bundle_path + " and " + arg + ")");
+      }
     }
+  } catch (const std::exception& e) {
+    fail(e.what());
   }
   if (bundle_path.empty()) fail("missing bundle path");
 
