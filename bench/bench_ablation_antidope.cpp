@@ -75,9 +75,7 @@ ManualResult run_manual(std::unique_ptr<cluster::ControlStage> scheme) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Ablation", "Anti-DOPE design choices");
-
+DOPE_BENCH_FIGURE(ablation_antidope, "Ablation", "Anti-DOPE design choices") {
   // ---- (a) suspect pool fraction ----
   // Each config knob becomes a named variant on a sweep grid, so the
   // section's runs share the multicore pool instead of a serial loop.
@@ -94,7 +92,7 @@ int main() {
            c.antidope.suspect_pool_fraction = fraction;
          }});
   }
-  const auto runs_a = bench::run_grid(grid_a);
+  const auto runs_a = figure.run_grid(grid_a);
   std::vector<double> avail_by_fraction;
   for (std::size_t i = 0; i < fractions.size(); ++i) {
     const auto& r = runs_a[i];
@@ -103,7 +101,7 @@ int main() {
     avail_by_fraction.push_back(r.availability);
   }
   a.print(std::cout);
-  bench::shape(
+  figure.shape(
       "a larger suspect pool improves availability (more capacity for "
       "the co-located legitimate heavy tail)",
       avail_by_fraction.back() > avail_by_fraction.front());
@@ -123,7 +121,7 @@ int main() {
            c.antidope.suspect_power_threshold = Watts{threshold};
          }});
   }
-  const auto runs_b = bench::run_grid(grid_b);
+  const auto runs_b = figure.run_grid(grid_b);
   double p90_mid = 0.0, p90_loose = 0.0, avail_low = 1.0;
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     const double threshold = thresholds[i];
@@ -137,11 +135,11 @@ int main() {
     if (threshold == 20.0) p90_loose = r.p90_ms;
   }
   b.print(std::cout);
-  bench::shape(
+  figure.shape(
       "too low a threshold misroutes normal traffic into the suspect "
       "pool (availability collapses)",
       avail_low < 0.5);
-  bench::shape(
+  figure.shape(
       "too high a threshold lets heavy attack URLs into the innocent "
       "pool (tail degrades vs. the calibrated 10 W)",
       p90_loose > 5.0 * p90_mid);
@@ -160,7 +158,7 @@ int main() {
         {"slot-" + std::to_string(to_millis(slot)) + "ms",
          [slot](scenario::ScenarioConfig& cfg) { cfg.slot = slot; }});
   }
-  const auto runs_c = bench::run_grid(grid_c);
+  const auto runs_c = figure.run_grid(grid_c);
   std::vector<std::uint64_t> violations;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const Duration slot = slots[i];
@@ -172,7 +170,7 @@ int main() {
                          static_cast<std::uint64_t>(to_millis(slot)));
   }
   c.print(std::cout);
-  bench::shape(
+  figure.shape(
       "a slower control loop leaves more violation-time uncorrected",
       violations.back() >= violations.front());
 
@@ -197,10 +195,10 @@ int main() {
         oracle.availability);
   d.print(std::cout);
 
-  bench::shape("isolation beats both capping variants on p90",
+  figure.shape("isolation beats both capping variants on p90",
                antidope.p90_ms < uniform.p90_ms &&
                    antidope.p90_ms < per_node.p90_ms);
-  bench::shape(
+  figure.shape(
       "the Oracle's only edge over Anti-DOPE is the legitimate heavy "
       "tail (better mean/availability, similar p90)",
       oracle.mean_ms <= antidope.mean_ms &&
@@ -218,7 +216,7 @@ int main() {
       {"per-node", [](scenario::ScenarioConfig& cfg) {
          cfg.antidope.per_node_throttling = true;
        }}};
-  const auto runs_e = bench::run_grid(grid_e);
+  const auto runs_e = figure.run_grid(grid_e);
   const auto& uniform_dpm = runs_e[0];
   const auto& per_node_dpm = runs_e[1];
   TextTable e({"DPM search", "mean (ms)", "p90 (ms)", "availability",
@@ -230,11 +228,10 @@ int main() {
         per_node_dpm.availability,
         static_cast<long long>(per_node_dpm.slot_stats.violation_slots));
   e.print(std::cout);
-  bench::shape(
+  figure.shape(
       "per-node DPM enforces the budget at least as well as uniform "
       "while serving normal users no worse",
       per_node_dpm.slot_stats.violation_slots <=
               uniform_dpm.slot_stats.violation_slots + 30 &&
           per_node_dpm.p90_ms < 2.0 * uniform_dpm.p90_ms + 10.0);
-  return 0;
 }

@@ -77,10 +77,8 @@ Outcome run(bool autoscale) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Ablation",
-                       "Auto-scaling amplifies DOPE's power leverage");
-
+DOPE_BENCH_FIGURE(ablation_autoscale, "Ablation",
+                  "Auto-scaling amplifies DOPE's power leverage") {
   const auto fixed = run(false);
   const auto scaled = run(true);
 
@@ -103,14 +101,13 @@ int main() {
   std::cout << "\npower swing caused by the attack: static " << fixed_swing
             << "x, auto-scaled " << scaled_swing << "x\n";
 
-  bench::shape("auto-scaling saves power while calm",
+  figure.shape("auto-scaling saves power while calm",
                scaled.calm_power < 0.6 * fixed.calm_power);
-  bench::shape(
+  figure.shape(
       "the attack makes the auto-scaler wake the whole fleet for the "
       "adversary",
       scaled.attacked_serving == 8);
-  bench::shape(
+  figure.shape(
       "auto-scaling widens the attacker-controllable power swing",
       scaled_swing > 1.5 * fixed_swing);
-  return 0;
 }

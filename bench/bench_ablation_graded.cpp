@@ -87,10 +87,9 @@ Outcome run(bool graded) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Ablation",
-      "Binary suspect list vs. graded power classes (mid-class flood)");
+DOPE_BENCH_FIGURE(
+    ablation_graded, "Ablation",
+    "Binary suspect list vs. graded power classes (mid-class flood)") {
   std::cout << "(Word-Count flood at 400 rps; legitimate Colla-Filt users "
                "at 20 rps;\n do the legit heavy users share the attack's "
                "fate?)\n\n";
@@ -106,11 +105,10 @@ int main() {
             graded.legit_heavy_p90, graded.availability);
   table.print(std::cout);
 
-  bench::shape(
+  figure.shape(
       "graded pools shield legitimate heavy users from a mid-class flood "
       "(p99 collapses vs. the binary design)",
       graded.legit_heavy_p90 < 0.25 * binary.legit_heavy_p90);
-  bench::shape("graded classification also improves availability",
+  figure.shape("graded classification also improves availability",
                graded.availability >= binary.availability - 0.005);
-  return 0;
 }

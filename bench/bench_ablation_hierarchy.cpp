@@ -107,9 +107,8 @@ Outcome run(bool hierarchical) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Ablation", "Flat vs. hierarchy-aware capping (rack hotspot)");
+DOPE_BENCH_FIGURE(ablation_hierarchy, "Ablation",
+                  "Flat vs. hierarchy-aware capping (rack hotspot)") {
   std::cout << "(4 hot Colla-Filt flows pinned on rack 0; PDUs rated at "
                "85% of rack nameplate;\n facility feed at 100% — the "
                "cluster total never violates)\n\n";
@@ -128,14 +127,13 @@ int main() {
             hier.cold_rack_throttled ? "yes" : "no");
   table.print(std::cout);
 
-  bench::shape(
+  figure.shape(
       "flat capping is blind to the rack-local violation (PDU overloads "
       "persist)",
       flat.pdu_violation_slots > 10 * std::max<std::uint64_t>(
                                           hier.pdu_violation_slots, 1));
-  bench::shape("hierarchy-aware capping clears the PDU violation",
+  figure.shape("hierarchy-aware capping clears the PDU violation",
                hier.pdu_violation_slots < 30);
-  bench::shape("the cold rack is never throttled by either scheme",
+  figure.shape("the cold rack is never throttled by either scheme",
                !flat.cold_rack_throttled && !hier.cold_rack_throttled);
-  return 0;
 }

@@ -79,11 +79,9 @@ Outcome run(bool online_learning) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Ablation", "Offline vs. online suspect classification "
-                  "(unprofiled attack URL)");
-
+DOPE_BENCH_FIGURE(
+    ablation_online, "Ablation",
+    "Offline vs. online suspect classification (unprofiled attack URL)") {
   const auto offline = run(false);
   const auto online = run(true);
 
@@ -97,11 +95,10 @@ int main() {
             static_cast<long long>(online.reclassifications));
   table.print(std::cout);
 
-  bench::shape("the online classifier flags the unprofiled attack URL",
+  figure.shape("the online classifier flags the unprofiled attack URL",
                online.learned && online.reclassifications >= 1);
-  bench::shape(
+  figure.shape(
       "online learning restores the isolation benefit (p90 much better "
       "than the blind configuration)",
       online.p90_ms < 0.5 * offline.p90_ms);
-  return 0;
 }

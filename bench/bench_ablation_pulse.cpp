@@ -34,10 +34,8 @@ Outcome outcome_of(const scenario::ScenarioResult& r) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Ablation",
-                       "Pulsating vs. steady DOPE (attack efficiency)");
-
+DOPE_BENCH_FIGURE(ablation_pulse, "Ablation",
+                  "Pulsating vs. steady DOPE (attack efficiency)") {
   // scheme × attack-schedule grid through dope::sweep.
   sweep::GridSpec grid;
   grid.base = bench::eval_scenario(scenario::SchemeKind::kCapping,
@@ -55,7 +53,7 @@ int main() {
     pulse.rate_plan.push_back({t + 30 * kSecond, 0.0});
   }
   grid.attacks = {steady, pulse};
-  const auto runs = bench::run_grid(grid);
+  const auto runs = figure.run_grid(grid);
 
   const auto capping_steady = outcome_of(runs[0]);
   const auto capping_pulse = outcome_of(runs[1]);
@@ -88,20 +86,19 @@ int main() {
             damage(antidope_pulse));
   table.print(std::cout);
 
-  bench::shape(
+  figure.shape(
       "the pulse costs the attacker about half the requests",
       capping_pulse.attack_sent < 0.6 * capping_steady.attack_sent);
-  bench::shape(
+  figure.shape(
       "against Capping, sustained pressure compounds: the steady flood "
       "buys more damage per request than the pulse (queues drain during "
       "off phases)",
       damage(capping_steady) > damage(capping_pulse));
-  bench::shape(
+  figure.shape(
       "even the half-cost pulse still degrades Capping's tail by an "
       "order of magnitude",
       capping_pulse.p90_ms > 10.0 * antidope_steady.p90_ms);
-  bench::shape(
+  figure.shape(
       "Anti-DOPE is insensitive to the attack schedule",
       antidope_pulse.p90_ms < 2.0 * antidope_steady.p90_ms + 10.0);
-  return 0;
 }

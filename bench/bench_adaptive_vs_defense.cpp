@@ -77,11 +77,8 @@ Outcome run(scenario::SchemeKind scheme) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Adaptive attack vs. defenses",
-      "Does the Fig. 12 attacker succeed — and does it know?");
-
+DOPE_BENCH_FIGURE(adaptive_vs_defense, "Adaptive attack vs. defenses",
+                  "Does the Fig. 12 attacker succeed — and does it know?") {
   TextTable table({"defense", "attacker holds?", "final rate (rps)",
                    "fw bans", "attacker sees (ms)", "normal p90 (ms)"});
   Outcome capping, antidope;
@@ -98,17 +95,16 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::shape(
+  figure.shape(
       "against Capping the adaptive attacker finds a real emergency "
       "(believes success AND normal users suffer)",
       capping.attacker_believes_success && capping.normal_p90 > 500.0);
-  bench::shape(
+  figure.shape(
       "the attacker always stays under the firewall's radar",
       capping.firewall_bans == 0 && antidope.firewall_bans == 0);
-  bench::shape(
+  figure.shape(
       "against Anti-DOPE the attacker is deceived: it sees its own "
       "requests crawl and holds, yet normal users are fine",
       antidope.attacker_believes_success &&
           antidope.attack_mean_ms > 500.0 && antidope.normal_p90 < 50.0);
-  return 0;
 }

@@ -70,10 +70,8 @@ Outcome run(scenario::SchemeKind scheme_kind) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Figure 1 companion",
-      "Unplanned outages: DOPE vs. a breaker-protected feed");
+DOPE_BENCH_FIGURE(fig01_outage, "Figure 1 companion",
+                  "Unplanned outages: DOPE vs. a breaker-protected feed") {
   std::cout << "(Low-PB feed behind a 640 W breaker with a 20 s thermal "
                "capacity; 400 rps\n heavy-URL DOPE for 10 minutes)\n\n";
 
@@ -93,13 +91,12 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::shape(
+  figure.shape(
       "without power management, DOPE causes repeated unplanned outages",
       none.outages >= 2 && none.lost_requests > 0);
-  bench::shape("every power-management scheme keeps the breaker closed",
+  figure.shape("every power-management scheme keeps the breaker closed",
                capping.outages == 0 && antidope.outages == 0);
-  bench::shape(
+  figure.shape(
       "outages destroy availability far beyond what throttling costs",
       none.availability < antidope.availability);
-  return 0;
 }

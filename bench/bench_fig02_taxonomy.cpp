@@ -93,10 +93,8 @@ Row run(const std::string& name, workload::Mixture mixture, double rate,
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Figure 2 companion",
-                       "Which resource does each attack class exhaust?");
-
+DOPE_BENCH_FIGURE(fig02_taxonomy, "Figure 2 companion",
+                  "Which resource does each attack class exhaust?") {
   const auto volume =
       run("UDP volume flood (50k pps, 8 hot bots)",
           workload::Mixture::single(Catalog::kUdpPacket), 50'000.0, 8);
@@ -116,15 +114,14 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::shape(
+  figure.shape(
       "the volume flood exhausts connectivity (switch drops) at low power",
       volume.switch_drop > 0.5 && volume.mean_power < Watts{250.0});
-  bench::shape(
+  figure.shape(
       "the hot app-layer flood draws high power but gets firewalled",
       applayer.bans > 0);
-  bench::shape(
+  figure.shape(
       "DOPE exhausts only the power envelope: no switch loss, no bans, "
       "sustained budget violations",
       dope.switch_drop < 0.01 && dope.bans == 0 && dope.violations > 100);
-  return 0;
 }

@@ -55,8 +55,8 @@ TraceResult run_attack(attack::AttackKind kind) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Figure 3", "Power profile of typical cyber-attacks");
+DOPE_BENCH_FIGURE(fig03_attack_power, "Figure 3",
+                  "Power profile of typical cyber-attacks") {
   std::cout << "(workload catalog: Table 1; mini rack: 4x100 W leaf nodes, "
                "150 rps normal EC traffic, uncapped)\n";
 
@@ -110,13 +110,12 @@ int main() {
   const auto& syn = results[attack::AttackKind::kSynFlood];
   const auto& udp = results[attack::AttackKind::kUdpFlood];
   const auto& slow = results[attack::AttackKind::kSlowloris];
-  bench::shape("application-layer HTTP flood draws the highest power",
+  figure.shape("application-layer HTTP flood draws the highest power",
                http.mean_power > dns.mean_power &&
                    http.mean_power > syn.mean_power);
-  bench::shape("volume floods (SYN/UDP) stay in the low-power class",
+  figure.shape("volume floods (SYN/UDP) stay in the low-power class",
                syn.peak_power < 0.75 * http.peak_power &&
                    udp.peak_power < 0.75 * http.peak_power);
-  bench::shape("slowloris power is negligible",
+  figure.shape("slowloris power is negligible",
                slow.mean_power < 0.7 * http.mean_power);
-  return 0;
 }

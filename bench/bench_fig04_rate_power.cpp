@@ -23,10 +23,8 @@ scenario::ScenarioResult run_at(workload::RequestTypeId type, double rate) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Figure 4",
-                       "Higher traffic rate tends to cause higher power");
-
+DOPE_BENCH_FIGURE(fig04_rate_power, "Figure 4",
+                  "Higher traffic rate tends to cause higher power") {
   const std::vector<double> rates = {1, 5, 10, 25, 50, 100, 250, 500, 1000};
   const std::vector<workload::RequestTypeId> types = {
       Catalog::kCollaFilt, Catalog::kKMeans, Catalog::kWordCount,
@@ -80,13 +78,13 @@ int main() {
       if (mean_power[t][r] + 2.0 < mean_power[t][r - 1]) monotone = false;
     }
   }
-  bench::shape("sending more requests per second produces higher power",
+  figure.shape("sending more requests per second produces higher power",
                monotone);
 
   // Heavy types elevate power at low rates: at 50 rps, Colla-Filt adds far
   // more power over the idle+normal baseline than Text-Cont does.
   const double baseline = mean_power[3][0];
-  bench::shape(
+  figure.shape(
       "Colla-Filt/K-means/Word-Count elevate power at a low traffic rate",
       mean_power[0][4] - baseline > 3.0 * (mean_power[3][4] - baseline) &&
           mean_power[1][4] > mean_power[3][4] &&
@@ -95,10 +93,9 @@ int main() {
   const double spread_low = dists[0].percentile(95) - dists[0].percentile(5);
   const double spread_high =
       dists[4].percentile(95) - dists[4].percentile(5);
-  bench::shape("higher network volume shows lower variance in power usage",
+  figure.shape("higher network volume shows lower variance in power usage",
                spread_high < spread_low);
-  bench::shape("power CDF shifts right as the rate grows",
+  figure.shape("power CDF shifts right as the rate grows",
                dists[4].percentile(50) > dists[0].percentile(50));
   (void)catalog;
-  return 0;
 }

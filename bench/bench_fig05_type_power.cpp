@@ -32,11 +32,9 @@ Percentiles power_cdf(std::optional<workload::RequestTypeId> type,
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Figure 5",
-      "Power of different traffic types (volume-based DoS is low-power)");
-
+DOPE_BENCH_FIGURE(
+    fig05_type_power, "Figure 5",
+    "Power of different traffic types (volume-based DoS is low-power)") {
   // ---- (a) per-type power CDFs at 100 rps ----
   std::cout << "\n(a) CDF of power (normalised to nameplate) at 100 rps\n";
   const auto colla = power_cdf(Catalog::kCollaFilt);
@@ -70,11 +68,11 @@ int main() {
   b.print(std::cout);
 
   // ---- shape checks ----
-  bench::shape(
+  figure.shape(
       "abnormal (heavy) traffic power is higher than normal users'",
       colla.percentile(50) > normal_only.percentile(50) + 0.05 &&
           kmeans.percentile(50) > normal_only.percentile(50));
-  bench::shape("Colla-Filt's CDF is right-most",
+  figure.shape("Colla-Filt's CDF is right-most",
                colla.percentile(50) >= kmeans.percentile(50) &&
                    colla.percentile(50) >= wordcount.percentile(50));
   // Sub-verticality appears once Colla-Filt expends the maximum power
@@ -82,7 +80,7 @@ int main() {
   const auto colla_sat = power_cdf(Catalog::kCollaFilt, 300.0);
   const double sat_spread =
       colla_sat.percentile(95) - colla_sat.percentile(5);
-  bench::shape(
+  figure.shape(
       "saturating Colla-Filt's CDF is sub-vertical near nameplate",
       sat_spread < 0.05 && colla_sat.percentile(50) > 0.9);
   const auto& per_req = profiles;
@@ -99,9 +97,8 @@ int main() {
       kmeans_highest = false;
     }
   }
-  bench::shape("K-means consumes the most power per request",
+  figure.shape("K-means consumes the most power per request",
                kmeans_highest);
-  bench::shape("volume-based traffic consumes much less power per request",
+  figure.shape("volume-based traffic consumes much less power per request",
                volume_max < 0.1 * kmeans_w);
-  return 0;
 }

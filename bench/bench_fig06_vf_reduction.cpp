@@ -28,9 +28,8 @@ scenario::ScenarioResult run_capped(workload::RequestTypeId type,
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Figure 6",
-                       "Effect of HTTP DoS on power capping (V/F)");
+DOPE_BENCH_FIGURE(fig06_vf_reduction, "Figure 6",
+                  "Effect of HTTP DoS on power capping (V/F)") {
   const auto ladder = power::DvfsLadder::make();
 
   // ---- (a) deepest V/F level vs rate, Medium-PB ----
@@ -79,20 +78,19 @@ int main() {
     }
     return 1e18;
   };
-  bench::shape(
+  figure.shape(
       "Colla-Filt incurs V/F reduction at the lowest traffic rate",
       first_reduction(0) <= first_reduction(1) &&
           first_reduction(0) <= first_reduction(2) &&
           first_reduction(0) < first_reduction(3));
-  bench::shape(
+  figure.shape(
       "V/F plateaus once the traffic rate exceeds a threshold",
       min_freq[0][rates.size() - 1] == min_freq[0][rates.size() - 2]);
-  bench::shape(
+  figure.shape(
       "K-means induces the deepest V/F reduction at 1000 rps "
       "(power insensitive to frequency)",
       deepest[1] <= deepest[0] && deepest[1] <= deepest[2] &&
           deepest[1] <= deepest[3]);
-  bench::shape("light Text-Cont traffic never forces deep throttling",
+  figure.shape("light Text-Cont traffic never forces deep throttling",
                min_freq[3][rates.size() - 1] >= deepest[1]);
-  return 0;
 }

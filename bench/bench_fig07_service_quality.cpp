@@ -12,10 +12,8 @@
 using namespace dope;
 using workload::Catalog;
 
-int main() {
-  bench::figure_header(
-      "Figure 7", "Service quality vs. traffic rate (power-insufficient)");
-
+DOPE_BENCH_FIGURE(fig07_service_quality, "Figure 7",
+                  "Service quality vs. traffic rate (power-insufficient)") {
   // Aggressively power-insufficient: well below Low-PB.
   const Watts kTightBudget{4 * 100.0 * 0.72};
 
@@ -59,13 +57,12 @@ int main() {
   }
   std::cout << "knee located at ~" << knee << " rps (paper: ~100 rps)\n";
 
-  bench::shape("mean response time degrades by >= 7x past the knee",
+  figure.shape("mean response time degrades by >= 7x past the knee",
                worst_mean >= 7.0 * base_mean);
-  bench::shape("p90 tail latency degrades by >= 8x past the knee",
+  figure.shape("p90 tail latency degrades by >= 8x past the knee",
                worst_p90 >= 8.0 * base_p90);
-  bench::shape("a knee exists in the 50-250 rps band",
+  figure.shape("a knee exists in the 50-250 rps band",
                knee >= 50.0 && knee <= 250.0);
-  bench::shape("service quality is monotonically worse past the knee",
+  figure.shape("service quality is monotonically worse past the knee",
                mean_ms.back() >= mean_ms[rates.size() - 2] * 0.8);
-  return 0;
 }

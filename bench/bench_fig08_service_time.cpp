@@ -10,10 +10,8 @@
 using namespace dope;
 using workload::Catalog;
 
-int main() {
-  bench::figure_header("Figure 8",
-                       "Service time per traffic type under capping");
-
+DOPE_BENCH_FIGURE(fig08_service_time, "Figure 8",
+                  "Service time per traffic type under capping") {
   const std::vector<workload::RequestTypeId> types = {
       Catalog::kCollaFilt, Catalog::kKMeans, Catalog::kWordCount,
       Catalog::kTextCont};
@@ -35,12 +33,11 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::shape(
+  figure.shape(
       "Colla-Filt and K-means floods degrade service quality the most",
       std::min(mean_ms[0], mean_ms[1]) >
           std::max(mean_ms[2], mean_ms[3]));
-  bench::shape("a light Text-Cont flood is the least damaging",
+  figure.shape("a light Text-Cont flood is the least damaging",
                mean_ms[3] <= mean_ms[0] && mean_ms[3] <= mean_ms[1] &&
                    mean_ms[3] <= mean_ms[2]);
-  return 0;
 }

@@ -9,10 +9,8 @@
 
 using namespace dope;
 
-int main() {
-  bench::figure_header(
-      "Figure 9", "Service availability under aggressive oversubscription");
-
+DOPE_BENCH_FIGURE(fig09_availability, "Figure 9",
+                  "Service availability under aggressive oversubscription") {
   // Budget fractions from generous to aggressive.
   const std::vector<double> fractions = {1.00, 0.90, 0.85, 0.80, 0.75,
                                          0.70};
@@ -37,12 +35,11 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::shape("availability is perfect without an attack",
+  figure.shape("availability is perfect without an attack",
                *std::min_element(avail[0].begin(), avail[0].end()) > 0.999);
-  bench::shape(
+  figure.shape(
       "under attack, availability declines as oversubscription deepens",
       avail[2].back() < avail[2].front() - 0.05);
-  bench::shape("a stronger flood hurts availability more",
+  figure.shape("a stronger flood hurts availability more",
                avail[2].back() <= avail[1].back() + 1e-9);
-  return 0;
 }

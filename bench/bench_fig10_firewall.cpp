@@ -55,10 +55,8 @@ FirewallRun run(workload::RequestTypeId type, bool with_firewall) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Figure 10", "CDF of power with and without firewalls (1000 rps)");
-
+DOPE_BENCH_FIGURE(fig10_firewall, "Figure 10",
+                  "CDF of power with and without firewalls (1000 rps)") {
   const std::vector<workload::RequestTypeId> types = {
       Catalog::kCollaFilt, Catalog::kKMeans, Catalog::kWordCount,
       Catalog::kTextCont};
@@ -87,14 +85,13 @@ int main() {
     // Early window (pre-detection) runs hot relative to post-detection.
     if (with[t].early_mean < with[t].late_mean + 20.0) early_spikes = false;
   }
-  bench::shape("the firewall eventually suppresses the high-power flood",
+  figure.shape("the firewall eventually suppresses the high-power flood",
                firewall_cuts_power);
-  bench::shape(
+  figure.shape(
       "partial high-power spikes appear before the firewall reacts "
       "(initiating delay)",
       early_spikes);
-  bench::shape(
+  figure.shape(
       "without the firewall the flood rides near nameplate",
       without[0].power.percentile(95) > 0.9);
-  return 0;
 }

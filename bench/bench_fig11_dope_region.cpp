@@ -13,9 +13,7 @@
 using namespace dope;
 using workload::Catalog;
 
-int main() {
-  bench::figure_header("Figure 11", "The DOPE attack region");
-
+DOPE_BENCH_FIGURE(fig11_dope_region, "Figure 11", "The DOPE attack region") {
   const Watts budget{4 * 100.0 * 0.80};  // Low-PB on the mini rack
   const double firewall_threshold = 150.0;  // per source
   const unsigned agents = 16;
@@ -79,13 +77,12 @@ int main() {
             << "far below the " << firewall_threshold * agents
             << " rps aggregate detection capacity\n";
 
-  bench::shape("a DOPE region exists (power violated without detection)",
+  figure.shape("a DOPE region exists (power violated without detection)",
                dope_region_exists);
-  bench::shape("volume packets (SYN) never reach the DOPE region",
+  figure.shape("volume packets (SYN) never reach the DOPE region",
                volume_never_dope);
-  bench::shape(
+  figure.shape(
       "heavy URLs reach the DOPE region at near-normal request numbers",
       lowest_dope_rate <= 400.0);
   (void)catalog;
-  return 0;
 }

@@ -15,9 +15,8 @@
 using namespace dope;
 using workload::Catalog;
 
-int main() {
-  bench::figure_header("Figure 12", "DOPE attack algorithm convergence");
-
+DOPE_BENCH_FIGURE(fig12_attack_algorithm, "Figure 12",
+                  "DOPE attack algorithm convergence") {
   sim::Engine engine;
   const auto catalog = workload::Catalog::standard();
 
@@ -70,15 +69,14 @@ int main() {
             << cluster.server(0).level() << " (of "
             << cluster.ladder().max_level() << ")\n";
 
-  bench::shape("the attacker converges to a holding (emergency) state",
+  figure.shape("the attacker converges to a holding (emergency) state",
                attacker.emergency_achieved());
-  bench::shape("the per-agent rate stays under the firewall threshold",
+  figure.shape("the per-agent rate stays under the firewall threshold",
                attacker.current_rate() / config.num_agents <
                    firewall.threshold_rps);
-  bench::shape("the firewall never detects the attack",
+  figure.shape("the firewall never detects the attack",
                cluster.data().firewall()->total_bans() == 0);
-  bench::shape("the victim was forced to throttle (power emergency)",
+  figure.shape("the victim was forced to throttle (power emergency)",
                cluster.server(0).level() < cluster.ladder().max_level() ||
                    cluster.server(3).level() < cluster.ladder().max_level());
-  return 0;
 }

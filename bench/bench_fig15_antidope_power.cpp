@@ -31,16 +31,14 @@ sweep::GridSpec antidope_grid() {
 
 }  // namespace
 
-int main() {
-  bench::figure_header(
-      "Figure 15",
-      "Anti-DOPE: power control with slight normal-user degradation");
-
-  const auto runs = bench::run_grid(antidope_grid());
+DOPE_BENCH_FIGURE(
+    fig15_antidope_power, "Figure 15",
+    "Anti-DOPE: power control with slight normal-user degradation") {
+  const auto runs = figure.run_grid(antidope_grid());
   const auto& attacked = runs[0];
   const auto& baseline = runs[1];
-  bench::result_metrics("attacked", attacked);
-  bench::result_metrics("baseline", baseline);
+  figure.result_metrics("attacked", attacked);
+  figure.result_metrics("baseline", baseline);
 
   // ---- (a) power timeline around the attack onset ----
   std::cout << "\n(a) cluster power (W), DOPE onset at t=120 s, budget = "
@@ -84,15 +82,14 @@ int main() {
                                     150 * kSecond);
   const double settled =
       mean_between(attacked, 5 * kMinute, 10 * kMinute);
-  bench::shape("DOPE onset produces a sharp increase in total power",
+  figure.shape("DOPE onset produces a sharp increase in total power",
                spike > before + 50.0);
-  bench::shape("Anti-DOPE settles power back to the supply budget",
+  figure.shape("Anti-DOPE settles power back to the supply budget",
                settled <= attacked.budget.value() * 1.05);
-  bench::shape(
+  figure.shape(
       "normal users' p90/p95 are only slightly worse than the baseline",
       attacked.p90_ms < 3.0 * baseline.p90_ms + 10.0 &&
           attacked.p95_ms < 3.0 * baseline.p95_ms + 20.0);
-  bench::shape("availability of normal users stays high",
+  figure.shape("availability of normal users stays high",
                attacked.availability > 0.9);
-  return 0;
 }

@@ -11,10 +11,8 @@
 
 using namespace dope;
 
-int main() {
-  bench::figure_header("Figure 16",
-                       "Mean response time per scheme and budget");
-
+DOPE_BENCH_FIGURE(fig16_mean_rt, "Figure 16",
+                  "Mean response time per scheme and budget") {
   // Table 2: the evaluated schemes.
   std::cout << "\nTable 2: evaluated power management schemes\n";
   TextTable t2({"scheme", "feature"});
@@ -32,7 +30,7 @@ int main() {
   TextTable table({"budget", "Capping", "Shaving", "Token", "Anti-DOPE",
                    "Token drop %"});
   // results[budget][scheme], evaluated multicore through dope::sweep.
-  const auto results = bench::eval_grid(budgets);
+  const auto results = figure.eval_grid(budgets);
   for (std::size_t b = 0; b < budgets.size(); ++b) {
     const auto& r = results[b];
     table.row(power::budget_name(budgets[b]), r[0].mean_ms, r[1].mean_ms,
@@ -50,22 +48,21 @@ int main() {
             << improvement_medium * 100.0 << "% (Medium-PB), "
             << improvement_low * 100.0 << "% (Low-PB) — paper: 44%\n";
 
-  bench::shape(
+  figure.shape(
       "under reduced budgets every scheme's mean RT exceeds the "
       "Normal-PB case",
       low[0].mean_ms > results[0][0].mean_ms &&
           low[1].mean_ms >= results[0][1].mean_ms * 0.9);
-  bench::shape(
+  figure.shape(
       "Anti-DOPE achieves >= 44% shorter mean RT than Capping under "
       "reduced budgets",
       improvement_medium >= 0.44 && improvement_low >= 0.44);
-  bench::shape(
+  figure.shape(
       "Token shows deceptively short service time by abandoning packets",
       low[2].mean_ms < low[0].mean_ms &&
           low[2].drop_fraction > 0.10);
-  bench::shape(
+  figure.shape(
       "Anti-DOPE's mean RT is insensitive to the supplied power",
       std::abs(low[3].mean_ms - results[0][3].mean_ms) <
           0.5 * results[0][3].mean_ms + 20.0);
-  return 0;
 }

@@ -12,9 +12,8 @@
 
 using namespace dope;
 
-int main() {
-  bench::figure_header("Figure 17", "p90 tail latency per scheme/budget");
-
+DOPE_BENCH_FIGURE(fig17_tail_latency, "Figure 17",
+                  "p90 tail latency per scheme/budget") {
   const std::vector<power::BudgetLevel> budgets = {
       power::BudgetLevel::kNormal, power::BudgetLevel::kHigh,
       power::BudgetLevel::kMedium, power::BudgetLevel::kLow};
@@ -26,7 +25,7 @@ int main() {
   // results[budget][scheme] via dope::sweep, with a long window: it
   // outlives the 2-minute battery, exposing Shaving.
   const auto results =
-      bench::eval_grid(budgets, 400.0, [](scenario::ScenarioConfig& c) {
+      figure.eval_grid(budgets, 400.0, [](scenario::ScenarioConfig& c) {
         c.duration = 15 * kMinute;
       });
   for (std::size_t b = 0; b < budgets.size(); ++b) {
@@ -44,22 +43,21 @@ int main() {
   std::cout << "\nAnti-DOPE p90 improvement vs Capping at Medium-PB: "
             << improvement * 100.0 << "% (paper: 68.1%)\n";
 
-  bench::shape("with adequate power (Normal-PB) DOPE only slightly "
+  figure.shape("with adequate power (Normal-PB) DOPE only slightly "
                "prolongs the tail for power schemes",
                normal[0].p90_ms < 100.0 && normal[1].p90_ms < 100.0);
-  bench::shape(
+  figure.shape(
       "Anti-DOPE improves p90 by >= 68.1% vs Capping under reduced budgets",
       improvement >= 0.681 &&
           (1.0 - low[3].p90_ms / low[0].p90_ms) >= 0.681);
-  bench::shape(
+  figure.shape(
       "batteries do not function well against the long-duration peak "
       "(Shaving tail degrades at low budgets)",
       low[1].p90_ms > 2.0 * normal[1].p90_ms);
-  bench::shape("Token yields a good tail by abandoning requests",
+  figure.shape("Token yields a good tail by abandoning requests",
                low[2].p90_ms < low[0].p90_ms &&
                    low[2].drop_fraction > 0.10);
-  bench::shape(
+  figure.shape(
       "Anti-DOPE sustains the tail regardless of the supplied power",
       low[3].p90_ms < 2.0 * normal[3].p90_ms + 10.0);
-  return 0;
 }

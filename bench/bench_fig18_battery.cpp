@@ -36,10 +36,8 @@ double soc_at(const std::vector<metrics::Sample>& soc, Time t) {
 
 }  // namespace
 
-int main() {
-  bench::figure_header("Figure 18",
-                       "Battery behaviour per scheme under attack");
-
+DOPE_BENCH_FIGURE(fig18_battery, "Figure 18",
+                  "Battery behaviour per scheme under attack") {
   const Duration window = 15 * kMinute;
   const auto shaving = steady_soc(scenario::SchemeKind::kShaving, window);
   const auto antidope = steady_soc(scenario::SchemeKind::kAntiDope, window);
@@ -106,19 +104,18 @@ int main() {
             << cluster.battery()->discharge_events() << "\n";
 
   // ---- shape checks ----
-  bench::shape(
+  figure.shape(
       "Shaving heavily discharges and exhausts the battery under the "
       "long DOPE peak",
       soc_at(shaving, 14 * kMinute) < 0.15);
-  bench::shape("Capping never touches the battery",
+  figure.shape("Capping never touches the battery",
                soc_at(capping, 14 * kMinute) > 0.999);
-  bench::shape(
+  figure.shape(
       "Anti-DOPE keeps the battery nearly full under a steady attack",
       soc_at(antidope, 14 * kMinute) > 0.85);
-  bench::shape(
+  figure.shape(
       "with switching attacks the battery discharges at transitions and "
       "recharges after V/F reconfiguration",
       cluster.battery()->discharge_events() > 0 &&
           soc_at(soc_probe.samples(), window - kMinute) > 0.5);
-  return 0;
 }

@@ -12,9 +12,8 @@
 
 using namespace dope;
 
-int main() {
-  bench::figure_header("Figure 19", "Energy consumption per scheme/budget");
-
+DOPE_BENCH_FIGURE(fig19_energy, "Figure 19",
+                  "Energy consumption per scheme/budget") {
   // The normalisation reference: Normal-PB, no attack, no enforcement.
   auto base_config = bench::eval_scenario(scenario::SchemeKind::kNone,
                                           power::BudgetLevel::kNormal,
@@ -30,45 +29,40 @@ int main() {
 
   std::cout << "\nnormalised utility energy under DOPE (400 rps)\n";
   TextTable table({"budget", "Capping", "Shaving", "Token", "Anti-DOPE"});
+  const auto results = figure.eval_grid(budgets);
   std::vector<std::vector<double>> normalized;
-  for (const auto budget : budgets) {
+  for (std::size_t b = 0; b < budgets.size(); ++b) {
     std::vector<double> row;
-    for (const auto scheme : scenario::kEvaluatedSchemes) {
-      const auto r =
-          scenario::run_scenario(bench::eval_scenario(scheme, budget));
+    for (const auto& r : results[b]) {
       row.push_back(r.energy.utility_total() / reference);
     }
     normalized.push_back(row);
-    table.row(power::budget_name(budget), normalized.back()[0],
-              normalized.back()[1], normalized.back()[2],
-              normalized.back()[3]);
+    table.row(power::budget_name(budgets[b]), row[0], row[1], row[2], row[3]);
   }
   table.print(std::cout);
 
   // No-attack sanity: all schemes equal.
   std::cout << "\nno-attack case (Normal-PB): ";
+  const auto unattacked = figure.eval_grid({power::BudgetLevel::kNormal}, 0.0);
   std::vector<double> no_attack;
-  for (const auto scheme : scenario::kEvaluatedSchemes) {
-    auto config = bench::eval_scenario(scheme, power::BudgetLevel::kNormal,
-                                       /*attack_rps=*/0.0);
-    no_attack.push_back(
-        scenario::run_scenario(config).energy.utility_total() / reference);
+  for (const auto& r : unattacked[0]) {
+    no_attack.push_back(r.energy.utility_total() / reference);
     std::cout << no_attack.back() << " ";
   }
   std::cout << "\n";
 
   const auto& low = normalized[3];
-  bench::shape(
+  figure.shape(
       "different schemes consume the same energy in the baseline case",
       *std::max_element(no_attack.begin(), no_attack.end()) -
               *std::min_element(no_attack.begin(), no_attack.end()) <
           0.02);
-  bench::shape(
+  figure.shape(
       "under sustained DOPE the conventional schemes all draw close to "
       "the budget envelope (within 10% of each other)",
       std::abs(low[0] - low[1]) < 0.10 * low[1] &&
           std::abs(low[2] - low[1]) < 0.10 * low[1]);
-  bench::shape("Anti-DOPE consumes the least energy under DOPE",
+  figure.shape("Anti-DOPE consumes the least energy under DOPE",
                low[3] <= low[0] && low[3] <= low[1] && low[3] <= low[2]);
   // Deviation from the paper (documented in EXPERIMENTS.md): in our model
   // Anti-DOPE is *more* frugal than Capping, not slightly less — the
@@ -77,12 +71,11 @@ int main() {
   std::cout << "ordering under DOPE at Low-PB: Anti-DOPE=" << low[3]
             << "  Capping=" << low[0] << "  Token=" << low[2]
             << "  Shaving=" << low[1] << "\n";
-  bench::shape(
+  figure.shape(
       "Anti-DOPE uses less energy than Shaving (less battery dependency)",
       low[3] < normalized[3][1] + 1e-9);
-  bench::shape("energy under DOPE never exceeds the supplied budget's "
+  figure.shape("energy under DOPE never exceeds the supplied budget's "
                "10-minute envelope",
                low[0] * reference.value() <=
                    0.80 * 800.0 * 600.0 * 1.05);
-  return 0;
 }

@@ -1,18 +1,10 @@
-// Shared helpers for the figure-reproduction bench binaries.
-//
-// Every binary prints (a) the rows/series of one paper figure and (b) one
-// or more "SHAPE" lines asserting the qualitative property the paper
-// claims (who wins, where the knee is). Shape lines print PASS/CHECK so a
-// full bench run can be eyeballed or grepped.
-// Besides the console output, every bench binary also leaves a
-// machine-readable mirror behind: `figure_header` opens a JSON report,
-// `shape`/`metric` append to it, and `BENCH_<figure id>.json` is written
-// at process exit (into $DOPE_BENCH_JSON_DIR when set, else the working
-// directory) for dashboards and regression diffing.
+// The paper's figures: each prints its rows/series and "SHAPE" lines
+// asserting the qualitative property the paper claims (who wins, where
+// the knee is). dopebench runs them, writes each one's verdicts and named
+// metrics to BENCH_<name>.json, and exits 1 if any claim fails.
 #pragma once
 
-#include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -20,87 +12,11 @@
 
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "obs/json.hpp"
 #include "scenario/scenario.hpp"
 #include "sweep/sweep.hpp"
 #include "workload/catalog.hpp"
 
 namespace dope::bench {
-
-/// Collects one bench run's figures, shape checks, and named metrics;
-/// flushed as JSON when the process exits. Access via the free helpers
-/// below rather than directly.
-class JsonReport {
- public:
-  static JsonReport& instance() {
-    static JsonReport report;
-    return report;
-  }
-
-  void begin_figure(const std::string& id, const std::string& title) {
-    if (id_.empty()) id_ = id;  // the first figure names the file
-    figures_.emplace_back(id, title);
-  }
-  void add_shape(const std::string& claim, bool holds) {
-    shapes_.emplace_back(claim, holds);
-  }
-  void add_metric(const std::string& key, double value) {
-    metrics_.emplace_back(key, value);
-  }
-
-  /// `BENCH_<sanitized id>.json`, honoring $DOPE_BENCH_JSON_DIR.
-  std::string path() const {
-    std::string name = "BENCH_";
-    for (const char c : id_) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9');
-      name += ok ? c : '_';
-    }
-    name += ".json";
-    if (const char* dir = std::getenv("DOPE_BENCH_JSON_DIR")) {
-      return std::string(dir) + "/" + name;
-    }
-    return name;
-  }
-
- private:
-  JsonReport() = default;
-  ~JsonReport() { flush(); }
-
-  void flush() const {
-    if (id_.empty()) return;  // no figure_header — nothing to report
-    std::ofstream out(path());
-    if (!out) return;
-    out << "{\n  \"figures\": [";
-    for (std::size_t i = 0; i < figures_.size(); ++i) {
-      out << (i ? ",\n    " : "\n    ") << "{\"id\": ";
-      obs::write_json_string(out, figures_[i].first);
-      out << ", \"title\": ";
-      obs::write_json_string(out, figures_[i].second);
-      out << "}";
-    }
-    out << "\n  ],\n  \"shapes\": [";
-    for (std::size_t i = 0; i < shapes_.size(); ++i) {
-      out << (i ? ",\n    " : "\n    ") << "{\"claim\": ";
-      obs::write_json_string(out, shapes_[i].first);
-      out << ", \"pass\": " << (shapes_[i].second ? "true" : "false")
-          << "}";
-    }
-    out << "\n  ],\n  \"metrics\": {";
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      out << (i ? ",\n    " : "\n    ");
-      obs::write_json_string(out, metrics_[i].first);
-      out << ": ";
-      obs::write_json_number(out, metrics_[i].second);
-    }
-    out << "\n  }\n}\n";
-  }
-
-  std::string id_;
-  std::vector<std::pair<std::string, std::string>> figures_;
-  std::vector<std::pair<std::string, bool>> shapes_;
-  std::vector<std::pair<std::string, double>> metrics_;
-};
 
 /// The paper's injected malicious blend (Colla-Filt + K-means +
 /// Word-Count service attacks, Section 6.1).
@@ -142,82 +58,89 @@ inline scenario::ScenarioConfig testbed_scenario(
   return config;
 }
 
-/// Prints one qualitative shape check (also captured in the JSON report).
-inline void shape(const std::string& claim, bool holds) {
-  std::cout << "SHAPE [" << (holds ? "PASS" : "CHECK") << "] " << claim
-            << "\n";
-  JsonReport::instance().add_shape(claim, holds);
-}
+/// The running figure's report: its shape verdicts and named metrics.
+/// Its sweep grids run on `threads` workers (0 = hardware concurrency);
+/// the count never changes the results — grids merge in grid order.
+struct Figure {
+  std::size_t threads = 0;
+  std::vector<std::pair<std::string, bool>> verdicts;
+  std::vector<std::pair<std::string, double>> metrics;
 
-inline void figure_header(const std::string& id, const std::string& title) {
-  std::cout << "\n==================================================\n"
-            << id << ": " << title << "\n"
-            << "==================================================\n";
-  JsonReport::instance().begin_figure(id, title);
-}
-
-/// Records one named scalar into the bench's JSON report.
-inline void metric(const std::string& key, double value) {
-  JsonReport::instance().add_metric(key, value);
-}
-
-/// Worker threads for bench sweep grids: $DOPE_BENCH_THREADS when set,
-/// else 0 (hardware concurrency). The thread count never changes the
-/// results — grids merge deterministically in grid order.
-inline std::size_t bench_threads() {
-  if (const char* env = std::getenv("DOPE_BENCH_THREADS")) {
-    return static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
+  /// Prints one qualitative shape check and records its verdict.
+  void shape(const std::string& claim, bool holds) {
+    std::cout << "SHAPE [" << (holds ? "PASS" : "CHECK") << "] " << claim
+              << "\n";
+    verdicts.emplace_back(claim, holds);
   }
-  return 0;
-}
 
-/// Runs a sweep grid multicore; a failed run aborts the bench with the
-/// run's label and error (benches have no use for partial figures).
-inline std::vector<scenario::ScenarioResult> run_grid(
-    const sweep::GridSpec& grid) {
-  return sweep::run_grid(grid, bench_threads());
-}
-
-/// The paper's standard budget × scheme evaluation grid (budget-major,
-/// matching the tables): returns results[budget_i][scheme_i] for the
-/// four Table 2 schemes. `tweak` adjusts the base `eval_scenario`
-/// config (duration, slot, ...) before the axes are applied.
-inline std::vector<std::vector<scenario::ScenarioResult>> eval_grid(
-    const std::vector<power::BudgetLevel>& budgets,
-    double attack_rps = 400.0,
-    const std::function<void(scenario::ScenarioConfig&)>& tweak = {}) {
-  sweep::GridSpec grid;
-  grid.base = eval_scenario(scenario::SchemeKind::kCapping,
-                            power::BudgetLevel::kNormal, attack_rps);
-  if (tweak) tweak(grid.base);
-  grid.budgets = budgets;
-  grid.schemes.assign(std::begin(scenario::kEvaluatedSchemes),
-                      std::end(scenario::kEvaluatedSchemes));
-  // Qualified: ADL would also find sweep::run_grid for a GridSpec.
-  const auto flat = bench::run_grid(grid);
-  std::vector<std::vector<scenario::ScenarioResult>> rows;
-  rows.reserve(budgets.size());
-  const std::size_t ns = grid.schemes.size();
-  for (std::size_t b = 0; b < budgets.size(); ++b) {
-    rows.emplace_back(
-        flat.begin() + static_cast<std::ptrdiff_t>(b * ns),
-        flat.begin() + static_cast<std::ptrdiff_t>((b + 1) * ns));
+  /// Records one named scalar into the figure's JSON report.
+  void metric(const std::string& key, double value) {
+    metrics.emplace_back(key, value);
   }
-  return rows;
-}
 
-/// Records a scenario result's headline numbers under `prefix.`.
-inline void result_metrics(const std::string& prefix,
-                           const scenario::ScenarioResult& r) {
-  metric(prefix + ".mean_ms", r.mean_ms);
-  metric(prefix + ".p90_ms", r.p90_ms);
-  metric(prefix + ".p99_ms", r.p99_ms);
-  metric(prefix + ".availability", r.availability);
-  metric(prefix + ".mean_power_w", r.mean_power.value());
-  metric(prefix + ".peak_power_w", r.peak_power.value());
-  metric(prefix + ".violation_slots",
-         static_cast<double>(r.slot_stats.violation_slots));
-  metric(prefix + ".outages", static_cast<double>(r.slot_stats.outages));
-}
+  /// Records a scenario result's headline numbers under `prefix.`.
+  void result_metrics(const std::string& prefix,
+                      const scenario::ScenarioResult& r) {
+    metric(prefix + ".mean_ms", r.mean_ms);
+    metric(prefix + ".p90_ms", r.p90_ms);
+    metric(prefix + ".p99_ms", r.p99_ms);
+    metric(prefix + ".availability", r.availability);
+    metric(prefix + ".mean_power_w", r.mean_power.value());
+    metric(prefix + ".peak_power_w", r.peak_power.value());
+    metric(prefix + ".violation_slots",
+           static_cast<double>(r.slot_stats.violation_slots));
+    metric(prefix + ".outages", static_cast<double>(r.slot_stats.outages));
+  }
+
+  /// Runs a sweep grid multicore; a failed run throws with the run's
+  /// label and error (benches have no use for partial figures).
+  std::vector<scenario::ScenarioResult> run_grid(const sweep::GridSpec& grid) {
+    return sweep::run_grid(grid, threads);
+  }
+
+  /// The paper's standard budget × scheme evaluation grid (budget-major,
+  /// matching the tables): returns results[budget_i][scheme_i] for the
+  /// four Table 2 schemes. `tweak` adjusts the base `eval_scenario`
+  /// config (duration, slot, ...) before the axes are applied.
+  std::vector<std::vector<scenario::ScenarioResult>> eval_grid(
+      const std::vector<power::BudgetLevel>& budgets,
+      double attack_rps = 400.0,
+      const std::function<void(scenario::ScenarioConfig&)>& tweak = {}) {
+    sweep::GridSpec grid;
+    grid.base = eval_scenario(scenario::SchemeKind::kCapping,
+                              power::BudgetLevel::kNormal, attack_rps);
+    if (tweak) tweak(grid.base);
+    grid.budgets = budgets;
+    grid.schemes.assign(std::begin(scenario::kEvaluatedSchemes),
+                        std::end(scenario::kEvaluatedSchemes));
+    const auto flat = run_grid(grid);
+    std::vector<std::vector<scenario::ScenarioResult>> rows;
+    rows.reserve(budgets.size());
+    const std::size_t ns = grid.schemes.size();
+    for (std::size_t b = 0; b < budgets.size(); ++b) {
+      rows.emplace_back(
+          flat.begin() + static_cast<std::ptrdiff_t>(b * ns),
+          flat.begin() + static_cast<std::ptrdiff_t>((b + 1) * ns));
+    }
+    return rows;
+  }
+};
+
+/// Adds a figure to the table dopebench runs (see DOPE_BENCH_FIGURE).
+bool add_figure(const char* name, const char* id, const char* title,
+                void (*run)(Figure&));
+
+/// dopebench's command line (see its --help); returns the exit status:
+/// 0, 1 if a claim fails or a figure throws, 2 on a bad command line.
+int run_dopebench(int argc, const char* const* argv);
 
 }  // namespace dope::bench
+
+/// Defines the figure `name` (its bench file's stem without "bench_")
+/// with the header `id: title`, and registers it with dopebench. The
+/// body that follows receives `dope::bench::Figure& figure`.
+#define DOPE_BENCH_FIGURE(name, id, title)             \
+  static void name(dope::bench::Figure& figure);       \
+  static const bool name##_added =                     \
+      dope::bench::add_figure(#name, id, title, name); \
+  static void name(dope::bench::Figure& figure)

@@ -7,7 +7,7 @@ requires exit status 2 — not a signal — with stderr starting with the
 tool's "<tool>: " prefix.
 
 Usage: cli_argv_test.py --dopesim PATH --dopesweep PATH
-                        --dopefuzz PATH --dopereport PATH
+                        --dopefuzz PATH --dopereport PATH --dopebench PATH
 """
 
 from __future__ import annotations
@@ -62,6 +62,15 @@ CASES = {
         [],
         ["a.json", "b.json"],
         ["/nonexistent/bundle.json"],
+    ],
+    "dopebench": COMMON + [
+        ["--threads"],
+        ["--threads", "-1"],
+        ["--threads", "2.5"],
+        ["--threads", "8abc"],
+        ["--json-dir"],
+        ["--json-dir", "/nonexistent/dir"],
+        ["fig99"],
     ],
 }
 
