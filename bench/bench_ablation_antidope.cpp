@@ -10,13 +10,14 @@
 //  (d) classification quality — Anti-DOPE's URL heuristic vs. the
 //      perfect-knowledge Oracle (upper bound) vs. uniform and per-node
 //      capping (no isolation at all).
+#include <functional>
 #include <iostream>
+#include <memory>
+#include <utility>
 
 #include "bench/bench_util.hpp"
-#include "cluster/cluster.hpp"
 #include "schemes/oracle.hpp"
 #include "schemes/rapl_capping.hpp"
-#include "workload/generator.hpp"
 
 using namespace dope;
 
@@ -29,48 +30,16 @@ scenario::ScenarioConfig base() {
   return config;
 }
 
-/// Runs a hand-assembled cluster with an arbitrary scheme (for schemes
-/// outside the ScenarioConfig enum: Oracle, RAPL-Capping).
-struct ManualResult {
-  double mean_ms = 0.0;
-  double p90_ms = 0.0;
-  double availability = 0.0;
-};
-
-ManualResult run_manual(std::unique_ptr<cluster::ControlStage> scheme) {
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = 8;
-  cc.budget_level = power::BudgetLevel::kLow;
-  cc.battery_runtime = 2 * kMinute;
-  cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(std::move(scheme));
-
-  workload::GeneratorConfig normal;
-  normal.mixture = workload::Mixture::alios_normal();
-  normal.rate_rps = 300.0;
-  normal.num_sources = 256;
-  normal.seed = 85;
-  workload::TrafficGenerator normal_gen(engine, catalog, normal,
-                                        cluster.edge_sink());
-  workload::GeneratorConfig attack;
-  attack.mixture = bench::heavy_blend();
-  attack.rate_rps = 400.0;
-  attack.num_sources = 64;
-  attack.source_base = 1'000'000;
-  attack.ground_truth_attack = true;
-  attack.seed = 86;
-  workload::TrafficGenerator attack_gen(engine, catalog, attack,
-                                        cluster.edge_sink());
-  engine.run_until(5 * kMinute);
-
-  ManualResult result;
-  const auto& m = cluster.request_metrics();
-  result.mean_ms = m.normal_latency_ms().mean();
-  result.p90_ms = m.normal_latency_ms().percentile(90);
-  result.availability = m.availability();
-  return result;
+/// Runs base() with `stage` in place of its scheme (for schemes outside
+/// the ScenarioConfig enum: Oracle, RAPL-Capping).
+scenario::ScenarioResult run_stage(
+    std::function<std::unique_ptr<cluster::ControlStage>()> stage) {
+  const auto config = base();
+  scenario::RunHooks hooks;
+  hooks.stage = std::move(stage);
+  scenario::Run run(config, std::move(hooks));
+  run.run_until(config.duration);
+  return run.summary();
 }
 
 }  // namespace
@@ -177,13 +146,14 @@ DOPE_BENCH_FIGURE(ablation_antidope, "Ablation", "Anti-DOPE design choices") {
   // ---- (d) classification quality ----
   std::cout << "\n(d) isolation quality: uniform vs per-node capping vs "
                "Anti-DOPE vs Oracle\n";
-  const auto uniform =
-      run_manual(scenario::make_scheme(scenario::SchemeKind::kCapping));
-  const auto per_node = run_manual(
-      std::make_unique<schemes::RaplCappingScheme>());
-  const auto antidope =
-      run_manual(scenario::make_scheme(scenario::SchemeKind::kAntiDope));
-  const auto oracle = run_manual(std::make_unique<schemes::OracleScheme>());
+  auto capping = base();
+  capping.scheme = scenario::SchemeKind::kCapping;
+  const auto uniform = scenario::run_scenario(capping);
+  const auto per_node = run_stage(
+      [] { return std::make_unique<schemes::RaplCappingScheme>(); });
+  const auto antidope = scenario::run_scenario(base());
+  const auto oracle =
+      run_stage([] { return std::make_unique<schemes::OracleScheme>(); });
   TextTable d({"scheme", "mean (ms)", "p90 (ms)", "availability"});
   d.row("Capping (uniform)", uniform.mean_ms, uniform.p90_ms,
         uniform.availability);

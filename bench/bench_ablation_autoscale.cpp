@@ -7,15 +7,12 @@
 // statically provisioned fleet vs. an auto-scaled fleet, with and without
 // the attack.
 #include <iostream>
-#include <memory>
+#include <optional>
 
 #include "bench/bench_util.hpp"
 #include "cluster/autoscaler.hpp"
-#include "cluster/cluster.hpp"
-#include "workload/generator.hpp"
 
 using namespace dope;
-using workload::Catalog;
 
 namespace {
 
@@ -28,46 +25,30 @@ struct Outcome {
 };
 
 Outcome run(bool autoscale) {
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = 8;
-  cluster::Cluster cluster(engine, catalog, cc);
-  std::unique_ptr<cluster::AutoScaler> scaler;
+  scenario::ScenarioConfig config;
+  config.battery_runtime = 0;
+  config.normal_rps = 60.0;  // light diurnal trough
+  config.normal_sources = 64;
+  // DOPE flood after a calm phase.
+  config.attack_rps = 400.0;
+  config.attack_mixture = bench::heavy_blend();
+  config.attack_start = 4 * kMinute;
+  config.seed = 2;
+  scenario::Run run(config);
+  cluster::Cluster& cluster = run.site().zone(0);
+  std::optional<cluster::AutoScaler> scaler;
   if (autoscale) {
-    cluster::AutoScalerConfig config;
-    config.min_active = 2;
-    config.step = 2;
-    scaler = std::make_unique<cluster::AutoScaler>(cluster, config);
+    scaler.emplace(cluster,
+                   cluster::AutoScalerConfig{.min_active = 2, .step = 2});
   }
 
-  workload::GeneratorConfig normal;
-  normal.mixture = workload::Mixture::alios_normal();
-  normal.rate_rps = 60.0;  // light diurnal trough
-  normal.num_sources = 64;
-  normal.seed = 5;
-  workload::TrafficGenerator normal_gen(engine, catalog, normal,
-                                        cluster.edge_sink());
-
-  // Calm phase.
-  engine.run_until(4 * kMinute);
+  run.run_until(config.attack_start);
   Outcome out;
   out.calm_power = cluster.total_power();
   out.calm_serving =
       scaler ? scaler->serving_count() : cluster.num_servers();
 
-  // DOPE flood.
-  workload::GeneratorConfig attack;
-  attack.mixture = bench::heavy_blend();
-  attack.rate_rps = 400.0;
-  attack.num_sources = 64;
-  attack.source_base = 1'000'000;
-  attack.ground_truth_attack = true;
-  attack.start = engine.now();
-  attack.seed = 6;
-  workload::TrafficGenerator attack_gen(engine, catalog, attack,
-                                        cluster.edge_sink());
-  engine.run_until(10 * kMinute);
+  run.run_until(config.duration);
   out.attacked_power = cluster.total_power();
   out.attacked_serving =
       scaler ? scaler->serving_count() : cluster.num_servers();

@@ -8,11 +8,11 @@
 // with each design.
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "antidope/antidope.hpp"
 #include "antidope/graded.hpp"
 #include "bench/bench_util.hpp"
-#include "cluster/cluster.hpp"
 #include "workload/generator.hpp"
 
 using namespace dope;
@@ -27,22 +27,22 @@ struct Outcome {
 };
 
 Outcome run(bool graded) {
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = 10;
-  cc.budget_level = power::BudgetLevel::kLow;
-  cc.battery_runtime = 2 * kMinute;
-  cluster::Cluster cluster(engine, catalog, cc);
-  if (graded) {
-    cluster.install_scheme(
-        std::make_unique<antidope::GradedAntiDopeScheme>());
-  } else {
-    antidope::AntiDopeConfig config;
-    config.suspect_pool_fraction = 0.4;  // match the graded 2+2 share
-    cluster.install_scheme(
-        std::make_unique<antidope::AntiDopeScheme>(config));
-  }
+  scenario::ScenarioConfig config;
+  config.num_servers = 10;
+  config.budget = power::BudgetLevel::kLow;
+  config.normal_rps = 0.0;  // the three user classes below replace it
+  config.duration = 5 * kMinute;
+  scenario::RunHooks hooks;
+  hooks.stage = [graded]() -> std::unique_ptr<cluster::ControlStage> {
+    if (graded) return std::make_unique<antidope::GradedAntiDopeScheme>();
+    antidope::AntiDopeConfig binary;
+    binary.suspect_pool_fraction = 0.4;  // match the graded 2+2 share
+    return std::make_unique<antidope::AntiDopeScheme>(binary);
+  };
+  scenario::Run run(config, std::move(hooks));
+  sim::Engine& engine = run.engine();
+  const workload::Catalog& catalog = run.catalog();
+  site::Site& site = run.site();
 
   // The attack floods Word-Count (the middle class).
   workload::GeneratorConfig attack;
@@ -53,7 +53,7 @@ Outcome run(bool graded) {
   attack.ground_truth_attack = true;
   attack.seed = 51;
   workload::TrafficGenerator attack_gen(engine, catalog, attack,
-                                        cluster.edge_sink());
+                                        site.edge_sink());
   // Legitimate heavy users: Colla-Filt at a modest rate.
   workload::GeneratorConfig legit;
   legit.mixture = workload::Mixture::single(Catalog::kCollaFilt);
@@ -61,7 +61,7 @@ Outcome run(bool graded) {
   legit.num_sources = 32;
   legit.seed = 52;
   workload::TrafficGenerator legit_gen(engine, catalog, legit,
-                                       cluster.edge_sink());
+                                       site.edge_sink());
   // Background light users.
   workload::GeneratorConfig light;
   light.mixture = workload::Mixture::single(Catalog::kTextCont);
@@ -69,19 +69,20 @@ Outcome run(bool graded) {
   light.num_sources = 256;
   light.seed = 53;
   workload::TrafficGenerator light_gen(engine, catalog, light,
-                                       cluster.edge_sink());
+                                       site.edge_sink());
 
-  engine.run_until(5 * kMinute);
+  run.run_until(config.duration);
 
   Outcome out;
-  const auto& latency = cluster.request_metrics().normal_latency_ms();
+  const auto& metrics = site.request_metrics();
+  const auto& latency = metrics.normal_latency_ms();
   // Normal latency blends light (8 ms) and heavy (80 ms) users; the
   // p99.5 region is dominated by the legitimate heavy tail, but for a
   // clean read we rely on the mean + p90 split: light users are fast in
   // both designs, so differences come from the heavy users.
   out.legit_heavy_p90 = latency.percentile(99);
   out.legit_heavy_mean = latency.mean();
-  out.availability = cluster.request_metrics().availability();
+  out.availability = metrics.availability();
   return out;
 }
 

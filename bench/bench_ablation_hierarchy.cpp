@@ -7,11 +7,10 @@
 // hierarchy-aware capping throttles exactly the hot rack.
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "bench/bench_util.hpp"
-#include "cluster/cluster.hpp"
 #include "common/rng.hpp"
-#include "schemes/baselines.hpp"
 #include "schemes/hierarchical.hpp"
 #include "workload/generator.hpp"
 
@@ -28,23 +27,26 @@ struct Outcome {
 };
 
 Outcome run(bool hierarchical) {
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = 8;
-  cc.budget_level = power::BudgetLevel::kNormal;
-  cc.lb_policy = net::LbPolicy::kSourceHash;
-  cluster::Cluster cluster(engine, catalog, cc);
-  auto topology =
+  scenario::ScenarioConfig config;
+  config.scheme = scenario::SchemeKind::kCapping;
+  config.battery_runtime = 0;
+  config.normal_rps = 0.0;  // the generators below replace it
+  config.duration = 5 * kMinute;
+  const auto topology =
       power::PowerTopology::uniform(8, 4, Watts{100.0}, 0.85, 1.00);
-  const auto topology_copy = topology;
+  scenario::RunHooks hooks;
+  hooks.zone = [](cluster::ClusterConfig& zone) {
+    zone.lb_policy = net::LbPolicy::kSourceHash;
+  };
   if (hierarchical) {
-    cluster.install_scheme(
-        std::make_unique<schemes::HierarchicalCappingScheme>(
-            std::move(topology)));
-  } else {
-    cluster.install_scheme(std::make_unique<schemes::CappingScheme>());
+    hooks.stage = [&topology] {
+      return std::make_unique<schemes::HierarchicalCappingScheme>(topology);
+    };
   }
+  scenario::Run run(config, std::move(hooks));
+  sim::Engine& engine = run.engine();
+  const workload::Catalog& catalog = run.catalog();
+  cluster::Cluster& cluster = run.site().zone(0);
 
   // Hot flows pinned (by source hash) onto rack 0's four servers.
   std::vector<std::unique_ptr<workload::TrafficGenerator>> generators;
@@ -80,10 +82,10 @@ Outcome run(bool hierarchical) {
   Outcome out;
   auto probe = engine.every(kSecond, [&] {
     std::vector<Watts> per_server;
-    for (auto* node : cluster.servers()) {
+    for (auto* node : cluster.data().servers()) {
       per_server.push_back(node->current_power());
     }
-    const auto load = power::evaluate_hierarchy(topology_copy, per_server);
+    const auto load = power::evaluate_hierarchy(topology, per_server);
     for (const auto& pdu : load.pdus) {
       if (pdu.violated()) {
         ++out.pdu_violation_slots;
@@ -92,7 +94,7 @@ Outcome run(bool hierarchical) {
       }
     }
   });
-  engine.run_until(5 * kMinute);
+  run.run_until(config.duration);
   probe.stop();
 
   out.normal_p90 =

@@ -9,11 +9,10 @@
 // statistical features" direction, realised.
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "antidope/antidope.hpp"
 #include "bench/bench_util.hpp"
-#include "cluster/cluster.hpp"
-#include "workload/generator.hpp"
 
 using namespace dope;
 using workload::Catalog;
@@ -29,47 +28,29 @@ struct Outcome {
 };
 
 Outcome run(bool online_learning) {
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = 8;
-  cc.budget_level = power::BudgetLevel::kLow;
-  cc.battery_runtime = 2 * kMinute;
-  cluster::Cluster cluster(engine, catalog, cc);
-
-  antidope::AntiDopeConfig config;
+  auto config = bench::eval_scenario(scenario::SchemeKind::kAntiDope,
+                                     power::BudgetLevel::kLow);
+  config.attack_mixture = workload::Mixture::single(Catalog::kKMeans);
+  config.seed = 30;
   // Nothing was profiled: every URL starts innocent.
-  config.suspect_list = antidope::SuspectList(
-      std::vector<bool>(catalog.size(), false));
-  config.online_learning = online_learning;
-  auto scheme_ptr = std::make_unique<antidope::AntiDopeScheme>(config);
-  auto* scheme = scheme_ptr.get();
-  cluster.install_scheme(std::move(scheme_ptr));
-
-  workload::GeneratorConfig normal;
-  normal.mixture = workload::Mixture::alios_normal();
-  normal.rate_rps = 300.0;
-  normal.num_sources = 256;
-  normal.seed = 61;
-  workload::TrafficGenerator normal_gen(engine, catalog, normal,
-                                        cluster.edge_sink());
-  workload::GeneratorConfig attack;
-  attack.mixture = workload::Mixture::single(Catalog::kKMeans);
-  attack.rate_rps = 400.0;
-  attack.num_sources = 64;
-  attack.source_base = 1'000'000;
-  attack.ground_truth_attack = true;
-  attack.seed = 62;
-  workload::TrafficGenerator attack_gen(engine, catalog, attack,
-                                        cluster.edge_sink());
-
-  engine.run_until(10 * kMinute);
+  config.antidope.suspect_list = antidope::SuspectList(
+      std::vector<bool>(workload::Catalog::standard().size(), false));
+  config.antidope.online_learning = online_learning;
+  antidope::AntiDopeScheme* scheme = nullptr;
+  scenario::RunHooks hooks;
+  hooks.stage = [&] {
+    auto stage = std::make_unique<antidope::AntiDopeScheme>(config.antidope);
+    scheme = stage.get();
+    return stage;
+  };
+  scenario::Run run(config, std::move(hooks));
+  run.run_until(config.duration);
+  const auto r = run.summary();
 
   Outcome out;
-  const auto& m = cluster.request_metrics();
-  out.mean_ms = m.normal_latency_ms().mean();
-  out.p90_ms = m.normal_latency_ms().percentile(90);
-  out.availability = m.availability();
+  out.mean_ms = r.mean_ms;
+  out.p90_ms = r.p90_ms;
+  out.availability = r.availability;
   if (scheme->classifier() != nullptr) {
     out.reclassifications = scheme->classifier()->reclassifications();
     out.learned = scheme->classifier()->suspicious(Catalog::kKMeans);

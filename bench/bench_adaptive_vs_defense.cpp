@@ -12,12 +12,9 @@
 // successful attack — the attacker holds, satisfied — while normal users
 // barely notice. Isolation doubles as deception.
 #include <iostream>
-#include <memory>
 
 #include "attack/dope_attacker.hpp"
 #include "bench/bench_util.hpp"
-#include "cluster/cluster.hpp"
-#include "workload/generator.hpp"
 
 using namespace dope;
 
@@ -29,49 +26,35 @@ struct Outcome {
   std::uint64_t firewall_bans = 0;
   double normal_p90 = 0.0;
   double attack_mean_ms = 0.0;
-  std::uint64_t violation_slots = 0;
 };
 
 Outcome run(scenario::SchemeKind scheme) {
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = 8;
-  cc.budget_level = power::BudgetLevel::kLow;
-  cc.battery_runtime = 2 * kMinute;
+  auto config = bench::eval_scenario(scheme, power::BudgetLevel::kLow,
+                                     /*attack_rps=*/0.0);
+  config.seed = 11;
   net::FirewallConfig firewall;
   firewall.threshold_rps = 150.0;
   firewall.check_interval = 5 * kSecond;
-  cc.firewall = firewall;
-  cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(scenario::make_scheme(scheme));
+  config.firewall = firewall;
+  scenario::Run run(config);
+  cluster::Cluster& cluster = run.site().zone(0);
 
-  workload::GeneratorConfig normal;
-  normal.mixture = workload::Mixture::alios_normal();
-  normal.rate_rps = 300.0;
-  normal.num_sources = 256;
-  normal.seed = 23;
-  workload::TrafficGenerator normal_gen(engine, catalog, normal,
-                                        cluster.edge_sink());
-
-  attack::DopeAttackerConfig config;
-  config.mixture = bench::heavy_blend();
-  config.num_agents = 64;
-  attack::DopeAttacker attacker(engine, catalog, config,
-                                cluster.edge_sink());
+  attack::DopeAttackerConfig attacker_config;
+  attacker_config.mixture = bench::heavy_blend();
+  attacker_config.num_agents = 64;
+  attack::DopeAttacker attacker(run.engine(), run.catalog(), attacker_config,
+                                run.site().edge_sink());
   cluster.add_record_listener(attacker.feedback_sink());
 
-  engine.run_until(10 * kMinute);
+  run.run_until(config.duration);
+  const auto r = run.summary();
 
   Outcome out;
   out.attacker_believes_success = attacker.emergency_achieved();
   out.final_rate = attacker.current_rate();
   out.firewall_bans = cluster.data().firewall()->total_bans();
-  out.normal_p90 =
-      cluster.request_metrics().normal_latency_ms().percentile(90);
-  out.attack_mean_ms =
-      cluster.request_metrics().attack_latency_ms().mean();
-  out.violation_slots = cluster.slot_stats().violation_slots;
+  out.normal_p90 = r.p90_ms;
+  out.attack_mean_ms = r.attack_mean_ms;
   return out;
 }
 

@@ -12,6 +12,7 @@
 //   DOPE                -> the power envelope: no network loss, no
 //                          detection, budget violated
 #include <iostream>
+#include <utility>
 
 #include "bench/bench_util.hpp"
 
@@ -29,7 +30,7 @@ struct Row {
   std::uint64_t bans = 0;
 };
 
-Row run(const std::string& name, workload::Mixture mixture, double rate,
+Row measure(const std::string& name, workload::Mixture mixture, double rate,
         unsigned agents) {
   auto config = bench::testbed_scenario();
   config.attack_rps = rate;
@@ -37,57 +38,37 @@ Row run(const std::string& name, workload::Mixture mixture, double rate,
   config.attack_agents = agents;
   config.duration = 5 * kMinute;
   config.budget = power::BudgetLevel::kLow;
-
+  config.seed = 8;
+  config.normal_sources = 128;
+  config.battery_runtime = 0;
+  config.power_sample_interval = kSecond;
   // Full edge: switch + firewall.
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = config.num_servers;
-  cc.budget_level = config.budget;
-  cc.network_switch = net::SwitchConfig{.capacity_pps = 10'000.0,
-                                        .buffer_packets = 128.0};
   net::FirewallConfig firewall;
   firewall.threshold_rps = 150.0;
   firewall.check_interval = 5 * kSecond;
-  cc.firewall = firewall;
-  cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(
-      scenario::make_scheme(scenario::SchemeKind::kNone));
-
-  workload::GeneratorConfig normal;
-  normal.mixture = workload::Mixture::alios_normal();
-  normal.rate_rps = config.normal_rps;
-  normal.num_sources = 128;
-  normal.seed = 17;
-  workload::TrafficGenerator normal_gen(engine, catalog, normal,
-                                        cluster.edge_sink());
-  workload::GeneratorConfig attack;
-  attack.mixture = config.attack_mixture.value();
-  attack.rate_rps = config.attack_rps;
-  attack.num_sources = config.attack_agents;
-  attack.source_base = 1'000'000;
-  attack.ground_truth_attack = true;
-  attack.seed = 18;
-  workload::TrafficGenerator attack_gen(engine, catalog, attack,
-                                        cluster.edge_sink());
-
-  metrics::TimelineRecorder power_probe(
-      engine, kSecond,
-      [&cluster] { return cluster.total_power().value(); });
-  engine.run_until(config.duration);
+  config.firewall = firewall;
+  scenario::RunHooks hooks;
+  hooks.zone = [](cluster::ClusterConfig& zone) {
+    zone.network_switch =
+        net::SwitchConfig{.capacity_pps = 10'000.0, .buffer_packets = 128.0};
+  };
+  scenario::Run run(config, std::move(hooks));
+  run.run_until(config.duration);
+  const auto r = run.summary();
+  cluster::DataPlane& edge = run.site().zone(0).data();
 
   Row row;
   row.name = name;
-  row.switch_drop = cluster.data().network_switch()->drop_rate();
-  const auto& n = cluster.request_metrics().normal_counts();
+  row.switch_drop = edge.network_switch()->drop_rate();
+  const auto& n = r.normal_counts;
   row.normal_timeout =
       n.terminal() == 0
           ? 0.0
           : static_cast<double>(n.timed_out + n.rejected_queue_full) /
                 static_cast<double>(n.terminal());
-  row.mean_power = Watts{power_probe.stats().mean()};
-  row.violations = cluster.slot_stats().violation_slots;
-  row.bans = cluster.data().firewall()->total_bans();
+  row.mean_power = r.mean_power;
+  row.violations = r.slot_stats.violation_slots;
+  row.bans = edge.firewall()->total_bans();
   return row;
 }
 
@@ -96,13 +77,13 @@ Row run(const std::string& name, workload::Mixture mixture, double rate,
 DOPE_BENCH_FIGURE(fig02_taxonomy, "Figure 2 companion",
                   "Which resource does each attack class exhaust?") {
   const auto volume =
-      run("UDP volume flood (50k pps, 8 hot bots)",
+      measure("UDP volume flood (50k pps, 8 hot bots)",
           workload::Mixture::single(Catalog::kUdpPacket), 50'000.0, 8);
   const auto applayer =
-      run("app-layer flood (1000 rps, 4 hot bots)",
+      measure("app-layer flood (1000 rps, 4 hot bots)",
           workload::Mixture::single(Catalog::kCollaFilt), 1'000.0, 4);
-  const auto dope = run("DOPE (300 rps, 64 stealth bots)",
-                        bench::heavy_blend(), 300.0, 64);
+  const auto dope = measure("DOPE (300 rps, 64 stealth bots)",
+                            bench::heavy_blend(), 300.0, 64);
 
   TextTable table({"attack", "switch drop %", "normal loss %",
                    "mean power (W)", "budget violations", "fw bans"});

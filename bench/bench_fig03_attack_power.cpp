@@ -6,6 +6,7 @@
 // power peaks; volume floods (SYN, UDP) and Slowloris barely move power.
 #include <iostream>
 #include <map>
+#include <utility>
 
 #include "attack/profiles.hpp"
 #include "bench/bench_util.hpp"
@@ -14,43 +15,20 @@ using namespace dope;
 
 namespace {
 
-struct TraceResult {
-  attack::AttackKind kind;
-  double mean_power = 0.0;
-  double peak_power = 0.0;
-  std::vector<metrics::Sample> timeline;
-};
-
-TraceResult run_attack(attack::AttackKind kind) {
-  scenario::ScenarioConfig config = bench::testbed_scenario();
-  config.duration = 600 * kSecond;  // the paper's observation window
-  // "Maximum force": volume attacks send far more packets than
-  // app-layer floods can.
+/// "Maximum force": volume attacks send far more packets than app-layer
+/// floods can.
+double max_force_rps(attack::AttackKind kind) {
   switch (kind) {
     case attack::AttackKind::kSynFlood:
     case attack::AttackKind::kUdpFlood:
-      config.attack_rps = 20'000.0;  // volume floods move packets
-      break;
+      return 20'000.0;  // volume floods move packets
     case attack::AttackKind::kDnsFlood:
-      config.attack_rps = 5'000.0;  // DNS floods are high-rate queries
-      break;
+      return 5'000.0;  // DNS floods are high-rate queries
     case attack::AttackKind::kSlowloris:
-      config.attack_rps = 50.0;  // few held-open connections
-      break;
+      return 50.0;  // few held-open connections
     default:
-      config.attack_rps = 500.0;  // HTTP GET flood
-      break;
+      return 500.0;  // HTTP GET flood
   }
-  config.attack_mixture = attack::attack_mixture(kind);
-  config.attack_agents = 128;
-
-  TraceResult result;
-  result.kind = kind;
-  const auto r = scenario::run_scenario(config);
-  result.mean_power = r.mean_power.value();
-  result.peak_power = r.peak_power.value();
-  result.timeline = r.power_timeline;
-  return result;
 }
 
 }  // namespace
@@ -60,21 +38,34 @@ DOPE_BENCH_FIGURE(fig03_attack_power, "Figure 3",
   std::cout << "(workload catalog: Table 1; mini rack: 4x100 W leaf nodes, "
                "150 rps normal EC traffic, uncapped)\n";
 
-  std::map<attack::AttackKind, TraceResult> results;
-  for (const auto kind : {attack::AttackKind::kHttpFlood,
-                          attack::AttackKind::kDnsFlood,
-                          attack::AttackKind::kSynFlood,
-                          attack::AttackKind::kUdpFlood,
-                          attack::AttackKind::kSlowloris}) {
-    results[kind] = run_attack(kind);
+  const attack::AttackKind kinds[] = {
+      attack::AttackKind::kHttpFlood, attack::AttackKind::kDnsFlood,
+      attack::AttackKind::kSynFlood, attack::AttackKind::kUdpFlood,
+      attack::AttackKind::kSlowloris};
+  sweep::GridSpec grid;
+  grid.base = bench::testbed_scenario();
+  grid.base.duration = 600 * kSecond;  // the paper's observation window
+  grid.base.attack_agents = 128;
+  for (const auto kind : kinds) {
+    sweep::AttackProfile profile;
+    profile.name = attack::attack_name(kind);
+    profile.rps = max_force_rps(kind);
+    profile.mixture = attack::attack_mixture(kind);
+    grid.attacks.push_back(std::move(profile));
+  }
+  auto runs = figure.run_grid(grid);
+  std::map<attack::AttackKind, scenario::ScenarioResult> results;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    results[kinds[i]] = std::move(runs[i]);
   }
 
   // Power trace, 60 s buckets (the figure's time axis).
   TextTable trace({"t(s)", "HTTP", "DNS", "SYN", "UDP", "Slowloris"});
-  const auto bucket_mean = [](const TraceResult& r, Time lo, Time hi) {
+  const auto bucket_mean = [](const scenario::ScenarioResult& r, Time lo,
+                               Time hi) {
     double sum = 0.0;
     std::size_t n = 0;
-    for (const auto& s : r.timeline) {
+    for (const auto& s : r.power_timeline) {
       if (s.t >= lo && s.t < hi) {
         sum += s.value;
         ++n;
@@ -97,10 +88,9 @@ DOPE_BENCH_FIGURE(fig03_attack_power, "Figure 3",
   TextTable summary({"attack", "mean power (W)", "peak power (W)",
                      "power class"});
   for (const auto& [kind, r] : results) {
-    const char* cls = r.peak_power > 350   ? "high"
-                      : r.peak_power > 250 ? "medium"
-                                           : "low";
-    summary.row(attack::attack_name(kind), r.mean_power, r.peak_power, cls);
+    const double peak = r.peak_power.value();
+    const char* cls = peak > 350 ? "high" : peak > 250 ? "medium" : "low";
+    summary.row(attack::attack_name(kind), r.mean_power.value(), peak, cls);
   }
   std::cout << "\n";
   summary.print(std::cout);

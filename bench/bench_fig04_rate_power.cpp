@@ -5,23 +5,14 @@
 //      (Colla-Filt, K-means, Word-Count) elevate power at LOW rates;
 //  (b) CDF of (nameplate-normalised) power at several traffic rates —
 //      higher volume shifts the CDF right and reduces its variance.
+#include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "bench/bench_util.hpp"
 
 using namespace dope;
 using workload::Catalog;
-
-namespace {
-
-scenario::ScenarioResult run_at(workload::RequestTypeId type, double rate) {
-  auto config = bench::testbed_scenario();
-  config.attack_rps = rate;
-  config.attack_mixture = workload::Mixture::single(type);
-  return scenario::run_scenario(config);
-}
-
-}  // namespace
 
 DOPE_BENCH_FIGURE(fig04_rate_power, "Figure 4",
                   "Higher traffic rate tends to cause higher power") {
@@ -29,7 +20,27 @@ DOPE_BENCH_FIGURE(fig04_rate_power, "Figure 4",
   const std::vector<workload::RequestTypeId> types = {
       Catalog::kCollaFilt, Catalog::kKMeans, Catalog::kWordCount,
       Catalog::kTextCont};
-  const auto catalog = workload::Catalog::standard();
+
+  // One grid over every (type, rate) pair, type-major; (b) reads its
+  // Colla-Filt rows.
+  sweep::GridSpec grid;
+  grid.base = bench::testbed_scenario();
+  for (const auto type : types) {
+    for (const double rate : rates) {
+      sweep::AttackProfile profile;
+      profile.name = "type" + std::to_string(type) + "-" +
+                     std::to_string(static_cast<int>(rate)) + "rps";
+      profile.rps = rate;
+      profile.mixture = workload::Mixture::single(type);
+      grid.attacks.push_back(std::move(profile));
+    }
+  }
+  const auto runs = figure.run_grid(grid);
+  const auto run_at = [&](std::size_t type_i, double rate) -> const auto& {
+    const auto rate_i = static_cast<std::size_t>(
+        std::find(rates.begin(), rates.end(), rate) - rates.begin());
+    return runs[type_i * rates.size() + rate_i];
+  };
 
   // ---- (a) mean power vs rate per type ----
   std::cout << "\n(a) mean cluster power (W) vs. attack request rate\n";
@@ -38,13 +49,10 @@ DOPE_BENCH_FIGURE(fig04_rate_power, "Figure 4",
   // results[type][rate index]
   std::vector<std::vector<double>> mean_power(
       types.size(), std::vector<double>(rates.size(), 0.0));
-  std::vector<std::vector<double>> samples_at_100(types.size());
-  std::vector<std::vector<std::vector<double>>> cdf_samples(rates.size());
 
   for (std::size_t t = 0; t < types.size(); ++t) {
     for (std::size_t r = 0; r < rates.size(); ++r) {
-      const auto result = run_at(types[t], rates[r]);
-      mean_power[t][r] = result.mean_power.value();
+      mean_power[t][r] = run_at(t, rates[r]).mean_power.value();
     }
   }
   for (std::size_t r = 0; r < rates.size(); ++r) {
@@ -59,8 +67,9 @@ DOPE_BENCH_FIGURE(fig04_rate_power, "Figure 4",
   const std::vector<double> cdf_rates = {10, 50, 100, 500, 1000};
   std::vector<Percentiles> dists(cdf_rates.size());
   for (std::size_t r = 0; r < cdf_rates.size(); ++r) {
-    const auto result = run_at(Catalog::kCollaFilt, cdf_rates[r]);
-    for (double v : result.power_samples_normalized) dists[r].add(v);
+    for (double v : run_at(0, cdf_rates[r]).power_samples_normalized) {
+      dists[r].add(v);
+    }
   }
   TextTable b({"percentile", "10rps", "50rps", "100rps", "500rps",
                "1000rps"});
@@ -97,5 +106,4 @@ DOPE_BENCH_FIGURE(fig04_rate_power, "Figure 4",
                spread_high < spread_low);
   figure.shape("power CDF shifts right as the rate grows",
                dists[4].percentile(50) > dists[0].percentile(50));
-  (void)catalog;
 }

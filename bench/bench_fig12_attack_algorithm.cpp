@@ -8,46 +8,33 @@
 
 #include "attack/dope_attacker.hpp"
 #include "bench/bench_util.hpp"
-#include "cluster/cluster.hpp"
-#include "schemes/baselines.hpp"
-#include "workload/generator.hpp"
 
 using namespace dope;
-using workload::Catalog;
 
 DOPE_BENCH_FIGURE(fig12_attack_algorithm, "Figure 12",
                   "DOPE attack algorithm convergence") {
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-
-  cluster::ClusterConfig cc;
-  cc.num_servers = 4;
-  cc.budget_level = power::BudgetLevel::kLow;
+  auto base = bench::testbed_scenario(scenario::SchemeKind::kCapping,
+                                      power::BudgetLevel::kLow);
+  base.duration = 8 * kMinute;
+  base.seed = 1;
+  base.normal_sources = 128;
+  base.battery_runtime = 0;
   net::FirewallConfig firewall;
   firewall.threshold_rps = 150.0;
   firewall.check_interval = 5 * kSecond;
-  cc.firewall = firewall;
-  cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(std::make_unique<schemes::CappingScheme>());
-
-  // Normal background load.
-  workload::GeneratorConfig normal;
-  normal.mixture = workload::Mixture::alios_normal();
-  normal.rate_rps = 150.0;
-  normal.num_sources = 128;
-  normal.seed = 3;
-  workload::TrafficGenerator normal_gen(engine, catalog, normal,
-                                        cluster.edge_sink());
+  base.firewall = firewall;
+  scenario::Run run(base);
+  cluster::Cluster& cluster = run.site().zone(0);
 
   attack::DopeAttackerConfig config;
   config.mixture = bench::heavy_blend();
   config.num_agents = 32;
   config.epoch = 5 * kSecond;
-  attack::DopeAttacker attacker(engine, catalog, config,
-                                cluster.edge_sink());
+  attack::DopeAttacker attacker(run.engine(), run.catalog(), config,
+                                run.site().edge_sink());
   cluster.add_record_listener(attacker.feedback_sink());
 
-  engine.run_until(8 * kMinute);
+  run.run_until(base.duration);
 
   TextTable trace({"t (s)", "phase", "rate (rps)", "rate/agent",
                    "block frac", "latency ratio"});

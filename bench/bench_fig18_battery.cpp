@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench/bench_util.hpp"
-#include "workload/generator.hpp"
 
 using namespace dope;
 using workload::Catalog;
@@ -54,54 +53,34 @@ DOPE_BENCH_FIGURE(fig18_battery, "Figure 18",
   table.print(std::cout);
 
   // ---- the attack-switching case (the figure's dark line) ----
-  // Rebuild the Anti-DOPE scenario by hand so the attack can rotate
+  // The Anti-DOPE scenario as an open run, so the attack can rotate
   // between the three DOPE types every 2 minutes.
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig cc;
-  cc.num_servers = 8;
-  cc.budget_level = power::BudgetLevel::kLow;
-  cc.budget_override = Watts{8 * 100.0 * 0.55};  // deficit when confined
-  cc.battery_runtime = 2 * kMinute;
-  cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(
-      scenario::make_scheme(scenario::SchemeKind::kAntiDope));
-
-  workload::GeneratorConfig normal;
-  normal.mixture = workload::Mixture::alios_normal();
-  normal.rate_rps = 300.0;
-  normal.num_sources = 256;
-  workload::TrafficGenerator normal_gen(engine, catalog, normal,
-                                        cluster.edge_sink());
-  workload::GeneratorConfig attack;
-  attack.mixture = workload::Mixture::single(Catalog::kCollaFilt);
-  attack.rate_rps = 400.0;
-  attack.num_sources = 64;
-  attack.source_base = 1'000'000;
-  attack.ground_truth_attack = true;
-  workload::TrafficGenerator attack_gen(engine, catalog, attack,
-                                        cluster.edge_sink());
-  // Rotate the DOPE type every 2 minutes.
+  auto config = bench::eval_scenario(scenario::SchemeKind::kAntiDope,
+                                     power::BudgetLevel::kLow);
+  config.budget_override = Watts{8 * 100.0 * 0.55};  // deficit when confined
+  config.attack_mixture = workload::Mixture::single(Catalog::kCollaFilt);
+  config.duration = window;
+  scenario::Run run(config);
+  workload::TrafficGenerator& attack = *run.attack();
   const workload::RequestTypeId rotation[] = {
       Catalog::kKMeans, Catalog::kWordCount, Catalog::kCollaFilt};
   for (int i = 0; i < 7; ++i) {
-    engine.schedule_at((i + 1) * 2 * kMinute, [&attack_gen, &rotation, i] {
-      attack_gen.set_mixture(
-          workload::Mixture::single(rotation[i % 3]));
+    run.engine().schedule_at((i + 1) * 2 * kMinute, [&attack, &rotation, i] {
+      attack.set_mixture(workload::Mixture::single(rotation[i % 3]));
     });
   }
-  metrics::TimelineRecorder soc_probe(
-      engine, kSecond, [&cluster] { return cluster.battery()->soc(); });
-  engine.run_until(window);
+  run.run_until(window);
+  const auto switching = run.summary().battery_soc_timeline;
+  const battery::Battery& battery = *run.site().zone(0).battery();
 
   std::cout << "\nAnti-DOPE with the attack type switching every 2 min\n";
   TextTable sw({"t (s)", "SoC"});
   for (int b = 0; b <= 15; ++b) {
-    sw.row(b * 60, soc_at(soc_probe.samples(), b * kMinute));
+    sw.row(b * 60, soc_at(switching, b * kMinute));
   }
   sw.print(std::cout);
   std::cout << "battery discharge events: "
-            << cluster.battery()->discharge_events() << "\n";
+            << battery.discharge_events() << "\n";
 
   // ---- shape checks ----
   figure.shape(
@@ -116,6 +95,6 @@ DOPE_BENCH_FIGURE(fig18_battery, "Figure 18",
   figure.shape(
       "with switching attacks the battery discharges at transitions and "
       "recharges after V/F reconfiguration",
-      cluster.battery()->discharge_events() > 0 &&
-          soc_at(soc_probe.samples(), window - kMinute) > 0.5);
+      battery.discharge_events() > 0 &&
+          soc_at(switching, window - kMinute) > 0.5);
 }

@@ -5,19 +5,23 @@
 //
 //   $ ./trace_replay                 # synthesise a 12 h trace, replay it
 //   $ ./trace_replay usage.csv       # replay a real server_usage CSV
+//
+// A file that cannot be opened, holds no usable record, or describes a
+// replay the simulator rejects exits 1 with a "trace_replay: " message
+// on stderr.
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 
-#include "antidope/antidope.hpp"
-#include "cluster/cluster.hpp"
 #include "common/table.hpp"
+#include "scenario/scenario.hpp"
 #include "trace/alibaba.hpp"
 #include "trace/synthetic.hpp"
-#include "workload/generator.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int replay(int argc, char** argv) {
   using namespace dope;
 
   // 1. Obtain a trace: parse the file given on the command line, or
@@ -26,7 +30,7 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     std::ifstream in(argv[1]);
     if (!in) {
-      std::cerr << "cannot open " << argv[1] << "\n";
+      std::cerr << "trace_replay: cannot open " << argv[1] << "\n";
       return 1;
     }
     std::size_t bad = 0;
@@ -35,6 +39,11 @@ int main(int argc, char** argv) {
     records = trace::parse_any_usage(in, &bad);
     std::cout << "parsed " << records.size() << " records from " << argv[1]
               << " (" << bad << " malformed rows skipped)\n";
+    if (records.empty()) {
+      std::cerr << "trace_replay: no usable usage records in " << argv[1]
+                << "\n";
+      return 1;
+    }
   } else {
     trace::SyntheticTraceConfig synth;
     synth.machines = 64;
@@ -56,62 +65,38 @@ int main(int argc, char** argv) {
   const auto plan = trace::to_rate_plan(util, /*peak_rps=*/500.0,
                                         /*time_compression=*/60.0);
 
-  // 3. A power-constrained cluster defended by Anti-DOPE.
-  sim::Engine engine;
-  const auto catalog = workload::Catalog::standard();
-  cluster::ClusterConfig config;
-  config.num_servers = 8;
-  config.budget_level = power::BudgetLevel::kMedium;
-  config.battery_runtime = 2 * kMinute;
-  cluster::Cluster cluster(engine, catalog, config);
-  cluster.install_scheme(std::make_unique<antidope::AntiDopeScheme>());
-
-  // 4. Normal traffic follows the trace's shape.
-  workload::GeneratorConfig traffic;
-  traffic.name = "trace-replay";
-  traffic.mixture = workload::Mixture::alios_normal();
-  traffic.rate_rps = plan.empty() ? 100.0 : plan.front().rate_rps;
-  traffic.num_sources = 256;
-  workload::TrafficGenerator generator(engine, catalog, traffic,
-                                       cluster.edge_sink());
-  workload::apply_rate_plan(engine, generator, plan);
-
-  // 5. Inject a DOPE burst for two minutes mid-replay.
-  workload::GeneratorConfig attack;
-  attack.name = "dope-burst";
-  attack.mixture = workload::Mixture::single(workload::Catalog::kKMeans);
-  attack.rate_rps = 400.0;
-  attack.num_sources = 64;
-  attack.source_base = 1'000'000;
-  attack.ground_truth_attack = true;
-  attack.start = 5 * kMinute;
-  attack.stop = 7 * kMinute;
-  workload::TrafficGenerator attacker(engine, catalog, attack,
-                                      cluster.edge_sink());
-
+  // 3. A power-constrained cluster defended by Anti-DOPE, with normal
+  //    traffic following the trace's shape and a two-minute DOPE burst
+  //    mid-replay.
   const Duration replay_span = 12 * kMinute;
-  cluster.run_for(replay_span);
+  scenario::ScenarioConfig config;
+  config.budget = power::BudgetLevel::kMedium;
+  config.scheme = scenario::SchemeKind::kAntiDope;
+  config.normal_rps = plan.empty() ? 100.0 : plan.front().rate_rps;
+  config.normal_rate_plan = plan;
+  config.attack_rps = 400.0;
+  config.attack_start = 5 * kMinute;
+  config.attack_stop = 7 * kMinute;
+  config.duration = replay_span;
+  const auto r = scenario::run_scenario(config);
 
-  // 6. Report.
-  const auto& metrics = cluster.request_metrics();
+  // 4. Report.
   std::cout << "== replay results (12 trace-hours in "
             << to_seconds(replay_span) / 60 << " sim-minutes) ==\n";
   TextTable table({"metric", "value"});
   table.row("normal requests served",
-            static_cast<long long>(metrics.normal_counts().completed));
-  table.row("mean latency (ms)", metrics.normal_latency_ms().mean());
-  table.row("p90 latency (ms)",
-            metrics.normal_latency_ms().percentile(90));
-  table.row("availability", metrics.availability());
+            static_cast<long long>(r.normal_counts.completed));
+  table.row("mean latency (ms)", r.mean_ms);
+  table.row("p90 latency (ms)", r.p90_ms);
+  table.row("availability", r.availability);
   table.row("attack requests seen",
-            static_cast<long long>(metrics.attack_counts().terminal()));
+            static_cast<long long>(r.attack_counts.terminal()));
   table.row("budget violations (slots)",
-            static_cast<long long>(cluster.slot_stats().violation_slots));
-  table.row("utility energy (J)",
-            cluster.energy_account().utility.value());
+            static_cast<long long>(r.slot_stats.violation_slots));
+  table.row("utility energy (J)", r.energy.utility.value());
   table.print(std::cout);
 
-  // 7. Round-trip demo: write the synthetic trace back out in the same
+  // 5. Round-trip demo: write the synthetic trace back out in the same
   //    schema so external tooling can consume it.
   if (argc <= 1) {
     std::ostringstream out;
@@ -120,4 +105,15 @@ int main(int argc, char** argv) {
               << " bytes in server_usage.csv schema)\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return replay(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "trace_replay: " << e.what() << "\n";
+    return 1;
+  }
 }

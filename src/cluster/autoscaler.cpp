@@ -7,8 +7,7 @@
 
 namespace dope::cluster {
 
-AutoScaler::AutoScaler(Cluster& cluster, AutoScalerConfig config,
-                       ManualTick)
+AutoScaler::AutoScaler(Cluster& cluster, AutoScalerConfig config)
     : cluster_(&cluster), config_(config) {
   DOPE_REQUIRE(config_.min_active >= 1, "need at least one active node");
   DOPE_REQUIRE(config_.scale_down_utilization >= 0.0 &&
@@ -18,10 +17,6 @@ AutoScaler::AutoScaler(Cluster& cluster, AutoScalerConfig config,
                "utilisation thresholds must form a band within [0, 1]");
   DOPE_REQUIRE(config_.period > 0, "period must be positive");
   DOPE_REQUIRE(config_.step >= 1, "step must be at least one node");
-}
-
-AutoScaler::AutoScaler(Cluster& cluster, AutoScalerConfig config)
-    : AutoScaler(cluster, config, ManualTick{}) {
   task_ = cluster.engine().every(config_.period, [this] { tick(); });
 }
 

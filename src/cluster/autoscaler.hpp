@@ -40,13 +40,7 @@ struct AutoScalerConfig {
 /// Utilisation-driven park/unpark controller over a cluster's nodes.
 class AutoScaler {
  public:
-  /// Tag: construct without self-scheduling the periodic; the owner
-  /// drives `tick()` itself (used by AutoScalerStage, which ticks from
-  /// the control plane's ordered slot pipeline instead).
-  struct ManualTick {};
-
   AutoScaler(Cluster& cluster, AutoScalerConfig config = {});
-  AutoScaler(Cluster& cluster, AutoScalerConfig config, ManualTick);
   ~AutoScaler();
 
   AutoScaler(const AutoScaler&) = delete;

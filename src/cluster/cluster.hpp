@@ -6,8 +6,8 @@
 //   power plane    (cluster/power_plane.hpp)  provisioning, breaker,
 //                                             battery, energy accounting
 //   control plane  (cluster/control_plane.hpp) ordered pipeline of
-//                                             ControlStages (schemes,
-//                                             autoscaler, health checks)
+//                                             ControlStages (power-
+//                                             management schemes)
 //
 // The Cluster itself is the composition root: it owns the three planes,
 // the request metrics, and the management-slot periodic that drives

@@ -40,7 +40,7 @@ namespace dope::cluster {
 class Cluster;
 
 /// Abstract control-plane stage (peak-power management policy, admission
-/// filter, router, autoscaler, health monitor, ...).
+/// filter, router, ...).
 class ControlStage {
  public:
   virtual ~ControlStage();

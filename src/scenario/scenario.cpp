@@ -86,7 +86,8 @@ void configure_obs_run(const ScenarioConfig& config) {
 
 }  // namespace
 
-ScenarioResult run_scenario(const ScenarioConfig& config) {
+Run::Run(const ScenarioConfig& config, RunHooks hooks)
+    : scheme_(config.scheme), catalog_(workload::Catalog::standard()) {
   DOPE_REQUIRE(config.duration > 0, "scenario duration must be positive");
   DOPE_REQUIRE(config.num_zones >= 1, "scenario needs at least one zone");
   DOPE_REQUIRE(config.zone_weights.empty() ||
@@ -96,13 +97,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                    config.attack_zone < static_cast<int>(config.num_zones),
                "attack_zone outside the site");
 
-  sim::Engine engine;
-  engine.set_obs(config.obs);  // before any component construction
+  engine_.set_obs(config.obs);  // before any component construction
   if (config.obs != nullptr && config.trace_cap > 0) {
     config.obs->trace().set_max_events(config.trace_cap);
   }
   configure_obs_run(config);
-  const auto catalog = workload::Catalog::standard();
 
   // A single cluster is the one-zone site (see site::SiteConfig).
   site::SiteConfig sc;
@@ -115,6 +114,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     zone.firewall = config.firewall;
     zone.breaker = config.breaker;
     zone.slot = config.slot;
+    if (hooks.zone) hooks.zone(zone);
     if (!config.zone_weights.empty()) {
       sc.zones[z].weight = config.zone_weights[z];
     }
@@ -124,10 +124,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   sc.divider = config.site_divider;
   sc.policy = config.glb_policy;
   sc.reapportion_period = config.reapportion_period;
-  site::Site site(engine, catalog, std::move(sc));
+  site::Site& site = site_.emplace(engine_, catalog_, std::move(sc));
 
   for (std::size_t z = 0; z < site.num_zones(); ++z) {
-    site.zone(z).install_scheme(make_scheme(config.scheme, config.antidope));
+    site.zone(z).install_scheme(
+        hooks.stage ? hooks.stage()
+                    : make_scheme(config.scheme, config.antidope));
   }
 
   if (config.obs != nullptr && config.default_alert_rules) {
@@ -186,18 +188,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                  "downtime");
     cluster::Cluster* cl = &site.zone(outage.server / config.num_servers);
     const std::size_t idx = outage.server % config.num_servers;
-    engine.schedule_at(outage.at, [cl, idx] {
+    engine_.schedule_at(outage.at, [cl, idx] {
       cl->server(idx).power_off();
     });
     const Duration reboot = cl->config().reboot_time;
-    engine.schedule_at(outage.at + outage.down, [cl, idx, reboot] {
+    engine_.schedule_at(outage.at + outage.down, [cl, idx, reboot] {
       if (!cl->power().in_outage()) cl->server(idx).power_on(reboot);
     });
   }
 
   // Normal traffic enters through the site's edge (the global balancer
   // when there are several zones).
-  std::unique_ptr<workload::TrafficGenerator> normal;
   if (config.normal_rps > 0.0 || !config.normal_rate_plan.empty()) {
     workload::GeneratorConfig gen;
     gen.name = "normal";
@@ -207,16 +208,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     gen.num_sources = config.normal_sources;
     gen.source_base = 0;
     gen.seed = config.seed * 2 + 1;
-    normal = std::make_unique<workload::TrafficGenerator>(
-        engine, catalog, gen, site.edge_sink());
+    normal_.emplace(engine_, catalog_, gen, site.edge_sink());
     if (!config.normal_rate_plan.empty()) {
-      apply_rate_plan(engine, *normal, config.normal_rate_plan);
+      apply_rate_plan(engine_, *normal_, config.normal_rate_plan);
     }
   }
 
   // Attack traffic: through the edge, or concentrated on one zone's
   // regional front door.
-  std::unique_ptr<workload::TrafficGenerator> attack;
   if (config.attack_rps > 0.0) {
     workload::GeneratorConfig gen;
     gen.name = "attack";
@@ -229,109 +228,95 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     gen.stop = config.attack_stop;
     gen.ground_truth_attack = true;
     gen.seed = config.seed * 2 + 2;
-    attack = std::make_unique<workload::TrafficGenerator>(
-        engine, catalog, gen,
+    attack_.emplace(
+        engine_, catalog_, gen,
         config.attack_zone >= 0
             ? site.zone_sink(static_cast<std::size_t>(config.attack_zone))
             : site.edge_sink());
     if (!config.attack_rate_plan.empty()) {
-      apply_rate_plan(engine, *attack, config.attack_rate_plan);
+      apply_rate_plan(engine_, *attack_, config.attack_rate_plan);
     }
   }
 
   // Probes: site-wide power, mean SoC over battery-backed zones,
   // per-zone throttling depth, and the watchdog's attack-rate feed.
-  metrics::TimelineRecorder power_probe(
-      engine, config.power_sample_interval, [&site] {
-        Watts total{0.0};
-        for (std::size_t z = 0; z < site.num_zones(); ++z) {
-          total += site.zone(z).total_power();
-        }
-        return total.value();
-      });
+  power_probe_.emplace(engine_, config.power_sample_interval, [this] {
+    Watts total{0.0};
+    for (std::size_t z = 0; z < site_->num_zones(); ++z) {
+      total += site_->zone(z).total_power();
+    }
+    return total.value();
+  });
   bool any_battery = false;
   for (std::size_t z = 0; z < site.num_zones(); ++z) {
     if (site.zone(z).battery() != nullptr) any_battery = true;
   }
-  std::unique_ptr<metrics::TimelineRecorder> soc_probe;
   if (any_battery) {
-    soc_probe = std::make_unique<metrics::TimelineRecorder>(
-        engine, config.power_sample_interval, [&site] {
-          double soc = 0.0;
-          std::size_t n = 0;
-          for (std::size_t z = 0; z < site.num_zones(); ++z) {
-            if (const auto* b = site.zone(z).battery()) {
-              soc += b->soc();
-              ++n;
-            }
-          }
-          return n == 0 ? 0.0 : soc / static_cast<double>(n);
-        });
+    soc_probe_.emplace(engine_, config.power_sample_interval, [this] {
+      double soc = 0.0;
+      std::size_t n = 0;
+      for (std::size_t z = 0; z < site_->num_zones(); ++z) {
+        if (const auto* b = site_->zone(z).battery()) {
+          soc += b->soc();
+          ++n;
+        }
+      }
+      return n == 0 ? 0.0 : soc / static_cast<double>(n);
+    });
   }
 
-  struct SlotProbe {
-    std::size_t min_level_seen = 0;
-    std::vector<std::size_t> zone_min_level;  // multi-zone runs only
-    workload::TrafficGenerator* attack_gen = nullptr;
-    obs::Watchdog* dog = nullptr;
-    obs::Series* attack_series = nullptr;
-    obs::FlightRecorder* flight = nullptr;
-    Time dump_at = -1;
-    bool dumped = false;
-    double slot_seconds = 1.0;
-    std::uint64_t prev_generated = 0;
-  } probe;
-  probe.min_level_seen = site.zone(0).ladder().max_level();
+  probe_.min_level_seen = site.zone(0).ladder().max_level();
   if (site.num_zones() > 1) {
-    probe.zone_min_level.assign(site.num_zones(), probe.min_level_seen);
+    probe_.zone_min_level.assign(site.num_zones(), probe_.min_level_seen);
   }
-  if (config.obs != nullptr && attack != nullptr) {
-    probe.attack_gen = attack.get();
-    probe.dog = &config.obs->watchdog();
-    probe.slot_seconds = to_seconds(config.slot);
+  if (config.obs != nullptr && attack_) {
+    probe_.dog = &config.obs->watchdog();
+    probe_.slot_seconds = to_seconds(config.slot);
     if (auto* ts = config.obs->timeseries()) {
-      probe.attack_series = &ts->series(kSignalAttackRate);
+      probe_.attack_series = &ts->series(kSignalAttackRate);
     }
   }
   if (config.obs != nullptr && config.dump_incident_at >= 0) {
-    probe.flight = config.obs->flight();
-    probe.dump_at = config.dump_incident_at;
+    probe_.flight = config.obs->flight();
+    probe_.dump_at = config.dump_incident_at;
   }
-  auto level_probe = engine.every(config.slot, [&site, &probe, &engine] {
-    for (std::size_t z = 0; z < site.num_zones(); ++z) {
-      cluster::Cluster& zone = site.zone(z);
-      for (std::size_t i = 0; i < zone.num_servers(); ++i) {
-        const std::size_t level = zone.server(i).level();
-        probe.min_level_seen = std::min(probe.min_level_seen, level);
-        if (!probe.zone_min_level.empty()) {
-          probe.zone_min_level[z] = std::min(probe.zone_min_level[z], level);
-        }
+  level_probe_ = engine_.every(config.slot, [this] { on_slot(); });
+}
+
+void Run::on_slot() {
+  for (std::size_t z = 0; z < site_->num_zones(); ++z) {
+    cluster::Cluster& zone = site_->zone(z);
+    for (std::size_t i = 0; i < zone.num_servers(); ++i) {
+      const std::size_t level = zone.server(i).level();
+      probe_.min_level_seen = std::min(probe_.min_level_seen, level);
+      if (!probe_.zone_min_level.empty()) {
+        probe_.zone_min_level[z] = std::min(probe_.zone_min_level[z], level);
       }
     }
-    if (probe.attack_gen != nullptr) {
-      const std::uint64_t generated = probe.attack_gen->generated();
-      const double rate =
-          static_cast<double>(generated - probe.prev_generated) /
-          probe.slot_seconds;
-      probe.dog->observe(kSignalAttackRate, engine.now(), rate);
-      if (probe.attack_series != nullptr) {
-        probe.attack_series->sample(engine.now(), rate);
-      }
-      probe.prev_generated = generated;
+  }
+  if (probe_.dog != nullptr) {
+    const std::uint64_t generated = attack_->generated();
+    const double rate =
+        static_cast<double>(generated - probe_.prev_generated) /
+        probe_.slot_seconds;
+    probe_.dog->observe(kSignalAttackRate, engine_.now(), rate);
+    if (probe_.attack_series != nullptr) {
+      probe_.attack_series->sample(engine_.now(), rate);
     }
-    if (probe.flight != nullptr && !probe.dumped &&
-        engine.now() >= probe.dump_at) {
-      probe.dumped = true;
-      probe.flight->dump_now(engine.now(), "manual");
-    }
-  });
+    probe_.prev_generated = generated;
+  }
+  if (probe_.flight != nullptr && !probe_.dumped &&
+      engine_.now() >= probe_.dump_at) {
+    probe_.dumped = true;
+    probe_.flight->dump_now(engine_.now(), "manual");
+  }
+}
 
-  engine.run_until(config.duration);
-  level_probe.stop();
-
-  // --- summarise ---
+ScenarioResult Run::summary() {
+  site::Site& site = *site_;
+  const metrics::TimelineRecorder& power_probe = *power_probe_;
   ScenarioResult result;
-  result.scheme = scheme_name(config.scheme);
+  result.scheme = scheme_name(scheme_);
   result.budget = site.facility_budget();
 
   const auto& metrics = site.request_metrics();
@@ -360,8 +345,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   for (const auto& s : power_probe.samples()) {
     result.power_samples_normalized.push_back(Watts{s.value} / nameplate);
   }
-  if (soc_probe) {
-    result.battery_soc_timeline = soc_probe->samples();
+  if (soc_probe_) {
+    result.battery_soc_timeline = soc_probe_->samples();
   }
 
   result.energy = site.aggregate_energy();
@@ -396,7 +381,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       breakdown.availability = zone.request_metrics().availability();
       breakdown.normal_counts = zone.request_metrics().normal_counts();
       breakdown.violation_slots = stats.violation_slots;
-      breakdown.min_level_seen = probe.zone_min_level[z];
+      breakdown.min_level_seen = probe_.zone_min_level[z];
       breakdown.load_energy = zone.energy_account().load_total();
       breakdown.final_mean_frequency =
           zone_freq / static_cast<double>(zone.num_servers());
@@ -407,8 +392,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
   result.final_mean_frequency =
       freq_sum / static_cast<double>(total_servers);
-  result.min_level_seen = probe.min_level_seen;
+  result.min_level_seen = probe_.min_level_seen;
   return result;
+}
+
+ScenarioResult run_scenario(const ScenarioConfig& config) {
+  Run run(config);
+  run.run_until(config.duration);
+  return run.summary();
 }
 
 ScenarioResult run_capturing_incidents(ScenarioConfig config,

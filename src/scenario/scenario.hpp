@@ -5,9 +5,12 @@
 // optional attack, one power-management scheme, and a 10-minute
 // observation window. `run_scenario` assembles exactly that and returns
 // the metrics the paper's tables and figures report, so bench binaries and
-// integration tests stay declarative.
+// integration tests stay declarative. A figure that needs more than the
+// config says (its own stage, a phased attack, an adaptive attacker)
+// builds the same assembly as an open `Run` and adds to it.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -22,6 +25,7 @@
 #include "metrics/timeline.hpp"
 #include "net/firewall.hpp"
 #include "power/provisioning.hpp"
+#include "sim/engine.hpp"
 #include "site/site.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
@@ -213,6 +217,77 @@ struct ScenarioResult {
   /// Per-zone breakdown, in zone order, for runs with two or more zones;
   /// empty with one zone, whose numbers are the ones above.
   std::vector<ZoneBreakdown> zones;
+};
+
+/// What a caller may set in a run's assembly beyond its config. Both are
+/// empty on the `run_scenario` path.
+struct RunHooks {
+  /// Edits each zone's cluster settings before the site is built (an
+  /// ingress switch, another default LB policy).
+  std::function<void(cluster::ClusterConfig&)> zone{};
+  /// Builds each zone's control stage in place of
+  /// `make_scheme(config.scheme, config.antidope)` (a scheme outside
+  /// `SchemeKind`, or one whose pointer the caller keeps).
+  std::function<std::unique_ptr<cluster::ControlStage>()> stage{};
+};
+
+/// One scenario, built and left open. The constructor assembles the
+/// engine, the site with each zone's stage, the alert rules, the scripted
+/// outages, the normal and attack generators and the probes, in that
+/// order. Before and between `run_until` calls the caller may attach more
+/// to `engine()` and `site()` — extra generators, an adaptive attacker,
+/// an auto-scaler, scheduled events, its own probes — which must not
+/// outlive the Run.
+class Run {
+ public:
+  explicit Run(const ScenarioConfig& config, RunHooks hooks = {});
+
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+
+  sim::Engine& engine() { return engine_; }
+  const workload::Catalog& catalog() const { return catalog_; }
+  site::Site& site() { return *site_; }
+  /// The attack generator; null when the scenario has no attack traffic.
+  workload::TrafficGenerator* attack() {
+    return attack_ ? &*attack_ : nullptr;
+  }
+
+  /// Advances the run to `t`; may be called again to continue it. Throws
+  /// std::invalid_argument when `t` lies before the current time.
+  void run_until(Time t) { engine_.run_until(t); }
+
+  /// The figures' metrics for the run so far.
+  ScenarioResult summary();
+
+ private:
+  /// Per-slot probe: throttling depth, the watchdog's attack-rate feed,
+  /// and the forced incident dump.
+  struct SlotProbe {
+    std::size_t min_level_seen = 0;
+    std::vector<std::size_t> zone_min_level;  // multi-zone runs only
+    /// Set when a hub watches a run with attack traffic.
+    obs::Watchdog* dog = nullptr;
+    obs::Series* attack_series = nullptr;
+    obs::FlightRecorder* flight = nullptr;
+    Time dump_at = -1;
+    bool dumped = false;
+    double slot_seconds = 1.0;
+    std::uint64_t prev_generated = 0;
+  };
+
+  void on_slot();
+
+  SchemeKind scheme_;
+  sim::Engine engine_;
+  workload::Catalog catalog_;
+  std::optional<site::Site> site_;
+  std::optional<workload::TrafficGenerator> normal_;
+  std::optional<workload::TrafficGenerator> attack_;
+  std::optional<metrics::TimelineRecorder> power_probe_;
+  std::optional<metrics::TimelineRecorder> soc_probe_;
+  SlotProbe probe_;
+  sim::PeriodicHandle level_probe_;
 };
 
 /// Builds, runs, and summarises one scenario.

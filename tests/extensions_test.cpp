@@ -1,6 +1,6 @@
 // Tests for the extension features: RAPL per-node capping, battery
-// reserve policy, cluster health checker, online power classification,
-// and the oracle / per-node capping ablation schemes.
+// reserve policy, online power classification, and the oracle /
+// per-node capping ablation schemes.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,7 +8,7 @@
 #include "antidope/antidope.hpp"
 #include "antidope/online_classifier.hpp"
 #include "battery/battery.hpp"
-#include "cluster/health.hpp"
+#include "cluster/cluster.hpp"
 #include "schemes/oracle.hpp"
 #include "schemes/rapl_capping.hpp"
 #include "server/rapl.hpp"
@@ -134,77 +134,6 @@ TEST(BatteryReserve, ValidatesReserveFraction) {
   auto spec = battery::BatterySpec::sized_for(Watts{100.0}, kMinute);
   spec.reserve_fraction = 1.0;
   EXPECT_THROW(battery::Battery{spec}, std::invalid_argument);
-}
-
-// ------------------------------------------------------------------ health
-
-class HealthTest : public ::testing::Test {
- protected:
-  sim::Engine engine_;
-  workload::Catalog catalog_ = Catalog::standard();
-  cluster::ClusterConfig config_ = [] {
-    cluster::ClusterConfig c;
-    c.num_servers = 4;
-    c.battery_runtime = 2 * kMinute;
-    return c;
-  }();
-  cluster::Cluster cluster_{engine_, catalog_, config_};
-};
-
-TEST_F(HealthTest, IdleClusterIsHealthy) {
-  cluster::HealthChecker checker(cluster_);
-  const auto report = checker.inspect();
-  ASSERT_EQ(report.nodes.size(), 4u);
-  EXPECT_EQ(report.count(cluster::NodeHealth::kHealthy), 4u);
-  EXPECT_FALSE(report.any_critical());
-  EXPECT_NEAR(report.total_power.value(), 4 * 38.0, 1e-9);
-  EXPECT_GT(report.headroom, Watts{0.0});
-  EXPECT_DOUBLE_EQ(report.battery_soc, 1.0);
-}
-
-TEST_F(HealthTest, FlagsPowerSaturatedNodes) {
-  // Saturate server 0 with K-means.
-  for (int i = 0; i < 4; ++i) {
-    workload::Request r;
-    r.type = Catalog::kKMeans;
-    r.size_factor = 100.0;
-    cluster_.server(0).submit(std::move(r));
-  }
-  cluster::HealthChecker checker(cluster_);
-  const auto report = checker.inspect();
-  EXPECT_EQ(report.nodes[0].health, cluster::NodeHealth::kPowerSaturated);
-  EXPECT_EQ(report.count(cluster::NodeHealth::kHealthy), 3u);
-}
-
-TEST_F(HealthTest, FlagsOverloadedAndCriticalNodes) {
-  cluster::HealthCheckerConfig config;
-  config.queue_pressure = 8;
-  for (int i = 0; i < 16; ++i) {
-    workload::Request r;
-    r.type = Catalog::kKMeans;
-    r.size_factor = 100.0;
-    cluster_.server(1).submit(std::move(r));
-  }
-  cluster::HealthChecker checker(cluster_, config);
-  const auto report = checker.inspect();
-  // Saturated power AND a deep queue: critical.
-  EXPECT_EQ(report.nodes[1].health, cluster::NodeHealth::kCritical);
-  EXPECT_TRUE(report.any_critical());
-}
-
-TEST_F(HealthTest, HeadroomGoesNegativeOverBudget) {
-  cluster::ClusterConfig tight = config_;
-  tight.budget_override = Watts{100.0};  // below the 152 W idle floor
-  cluster::Cluster cluster(engine_, catalog_, tight);
-  cluster::HealthChecker checker(cluster);
-  EXPECT_LT(checker.inspect().headroom, Watts{0.0});
-}
-
-TEST_F(HealthTest, ValidatesConfig) {
-  cluster::HealthCheckerConfig bad;
-  bad.queue_pressure = 0;
-  EXPECT_THROW(cluster::HealthChecker(cluster_, bad),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------------- online classifier

@@ -1,8 +1,10 @@
-// Tests for the scenario runner: scheme factory, config plumbing,
-// parallel sweeps, CSV export, and a larger-scale invariant run.
+// Tests for the scenario runner: scheme factory, config plumbing, the
+// open Run, parallel sweeps, CSV export, and a larger-scale invariant run.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/csv.hpp"
 #include "scenario/scenario.hpp"
@@ -171,6 +173,65 @@ TEST(RunScenario, OneZoneIgnoresSiteOnlySettings) {
   EXPECT_EQ(csv_a.str(), csv_b.str());
   EXPECT_TRUE(a.zones.empty());
   EXPECT_TRUE(b.zones.empty());
+}
+
+/// Every reported number of a result, as text: equal fingerprints mean
+/// the two runs reported the same figures.
+std::string fingerprint(const ScenarioResult& r) {
+  std::ostringstream out;
+  write_results_csv(out, {r});
+  write_timeline_csv(out, r.power_timeline);
+  write_timeline_csv(out, r.battery_soc_timeline);
+  out << r.attack_counts.terminal() << ' ' << r.attack_mean_ms << ' '
+      << r.min_level_seen << ' ' << r.final_mean_frequency.value() << ' '
+      << r.battery_discharged.value() << '\n';
+  return out.str();
+}
+
+/// The golden configuration with the flood starting mid-window.
+ScenarioConfig golden_with_onset() {
+  ScenarioConfig config;
+  config.scheme = SchemeKind::kAntiDope;
+  config.budget_override = Watts{440.0};
+  config.attack_rps = 400.0;
+  config.attack_start = 20 * kSecond;
+  config.duration = 60 * kSecond;
+  config.seed = 42;
+  return config;
+}
+
+TEST(OpenRun, ContinuedRunMatchesRunScenario) {
+  const ScenarioConfig config = golden_with_onset();
+  scenario::Run run(config);
+  ASSERT_NE(run.attack(), nullptr);
+  run.run_until(config.duration / 2);
+  run.run_until(config.duration);
+  EXPECT_EQ(fingerprint(run.summary()), fingerprint(run_scenario(config)));
+}
+
+TEST(OpenRun, StageHookWithTheConfiguredSchemeChangesNothing) {
+  const ScenarioConfig config = golden_with_onset();
+  scenario::Run plain(config, {});
+  plain.run_until(config.duration);
+  RunHooks hooks;
+  hooks.stage = [&config] {
+    return make_scheme(config.scheme, config.antidope);
+  };
+  scenario::Run hooked(config, std::move(hooks));
+  hooked.run_until(config.duration);
+  const std::string expected = fingerprint(run_scenario(config));
+  EXPECT_EQ(fingerprint(plain.summary()), expected);
+  EXPECT_EQ(fingerprint(hooked.summary()), expected);
+}
+
+TEST(OpenRun, RejectsRunningBackwards) {
+  ScenarioConfig config;
+  config.duration = 10 * kSecond;
+  scenario::Run run(config);
+  EXPECT_EQ(run.attack(), nullptr);
+  run.run_until(config.duration);
+  EXPECT_THROW(run.run_until(config.duration / 2), std::invalid_argument);
+  EXPECT_NO_THROW(run.run_until(config.duration));
 }
 
 TEST(RunScenario, ValidatesDuration) {

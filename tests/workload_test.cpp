@@ -1,7 +1,6 @@
 // Unit tests for the workload catalog, mixtures, and traffic generation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 
 #include "common/stats.hpp"
 #include "sim/engine.hpp"
-#include "workload/bursty.hpp"
 #include "workload/catalog.hpp"
 #include "workload/generator.hpp"
 
@@ -342,82 +340,6 @@ TEST_F(GeneratorTest, RejectsInvalidConfig) {
   config.mixture = Mixture::single(0);
   EXPECT_THROW(TrafficGenerator(engine_, catalog_, config, nullptr),
                std::invalid_argument);
-}
-
-
-// ------------------------------------------------------------- burstiness
-
-TEST_F(GeneratorTest, BurstModulatorRaisesRateDuringBursts) {
-  GeneratorConfig config;
-  config.mixture = Mixture::single(Catalog::kTextCont);
-  config.rate_rps = 0.0;
-  TrafficGenerator gen(engine_, catalog_, config, sink());
-  BurstConfig burst;
-  burst.base_rps = 50.0;
-  burst.burst_rps = 1'000.0;
-  burst.mean_quiet = 20 * kSecond;
-  burst.mean_burst = 5 * kSecond;
-  BurstModulator modulator(engine_, gen, burst);
-  engine_.run_until(30 * kMinute);
-  EXPECT_GT(modulator.bursts_started(), 20u);
-  // Long-run arrival rate matches the MMPP mean within sampling noise
-  // (dwell-time variance dominates; a 30-minute window tames it).
-  const double got = static_cast<double>(received_.size()) / 1'800.0;
-  EXPECT_NEAR(got, modulator.expected_mean_rate(),
-              0.30 * modulator.expected_mean_rate());
-  // The burst state must produce visible concentration: compare the
-  // busiest and quietest 10-second windows.
-  std::vector<int> buckets(180, 0);
-  for (const auto& r : received_) {
-    buckets[static_cast<std::size_t>(r.arrival / (10 * kSecond))]++;
-  }
-  const int hi = *std::max_element(buckets.begin(), buckets.end());
-  const int lo = *std::min_element(buckets.begin(), buckets.end());
-  EXPECT_GT(hi, 4 * std::max(lo, 1));
-}
-
-TEST_F(GeneratorTest, BurstModulatorStopFreezesRate) {
-  GeneratorConfig config;
-  config.mixture = Mixture::single(Catalog::kTextCont);
-  config.rate_rps = 0.0;
-  TrafficGenerator gen(engine_, catalog_, config, sink());
-  BurstConfig burst;
-  burst.base_rps = 10.0;
-  burst.burst_rps = 100.0;
-  BurstModulator modulator(engine_, gen, burst);
-  modulator.stop();
-  engine_.run_until(kMinute);
-  EXPECT_EQ(modulator.bursts_started(), 0u);
-  EXPECT_DOUBLE_EQ(gen.rate(), 10.0);
-}
-
-TEST_F(GeneratorTest, BurstModulatorValidatesConfig) {
-  GeneratorConfig config;
-  config.mixture = Mixture::single(Catalog::kTextCont);
-  config.rate_rps = 10.0;
-  TrafficGenerator gen(engine_, catalog_, config, sink());
-  BurstConfig bad;
-  bad.base_rps = 100.0;
-  bad.burst_rps = 50.0;  // burst below base
-  EXPECT_THROW(BurstModulator(engine_, gen, bad), std::invalid_argument);
-}
-
-TEST_F(GeneratorTest, BurstModulatorDeterministicForSeed) {
-  const auto run = [this] {
-    sim::Engine engine;
-    std::size_t count = 0;
-    GeneratorConfig config;
-    config.mixture = Mixture::single(Catalog::kTextCont);
-    config.rate_rps = 0.0;
-    config.seed = 5;
-    TrafficGenerator gen(engine, catalog_, config,
-                         [&count](Request&&) { ++count; });
-    BurstConfig burst;
-    BurstModulator modulator(engine, gen, burst);
-    engine.run_until(2 * kMinute);
-    return count;
-  };
-  EXPECT_EQ(run(), run());
 }
 
 }  // namespace
