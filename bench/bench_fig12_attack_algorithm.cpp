@@ -29,7 +29,6 @@ DOPE_BENCH_FIGURE(fig12_attack_algorithm, "Figure 12",
   attack::DopeAttackerConfig config;
   config.mixture = bench::heavy_blend();
   config.num_agents = 32;
-  config.epoch = 5 * kSecond;
   attack::DopeAttacker attacker(run.engine(), run.catalog(), config,
                                 run.site().edge_sink());
   cluster.add_record_listener(attacker.feedback_sink());

@@ -19,9 +19,6 @@ AntiDopeScheme::AntiDopeScheme(AntiDopeConfig config)
   DOPE_REQUIRE(config_.suspect_pool_fraction > 0.0 &&
                    config_.suspect_pool_fraction < 1.0,
                "suspect pool fraction must be in (0, 1)");
-  DOPE_REQUIRE(
-      config_.headroom_margin >= 0.0 && config_.headroom_margin < 1.0,
-      "headroom margin must be in [0, 1)");
 }
 
 void AntiDopeScheme::attach(cluster::Cluster& cluster) {
@@ -51,12 +48,11 @@ void AntiDopeScheme::attach(cluster::Cluster& cluster) {
                                            innocent_nodes_.end());
   if (config_.online_learning) {
     classifier_ = std::make_unique<OnlineClassifier>(
-        cluster.catalog().size(), suspects, config_.online);
+        cluster.catalog().size(), suspects);
   }
   router_ = std::make_unique<PdfRouter>(std::move(suspects),
                                         std::move(suspect_pool),
-                                        std::move(innocent_pool),
-                                        config_.pool_policy);
+                                        std::move(innocent_pool));
 
   suspect_target_ = cluster.ladder().max_level();
   innocent_target_ = cluster.ladder().max_level();
@@ -122,8 +118,8 @@ void AntiDopeScheme::on_slot(Time now, Duration slot) {
   const Watts budget = cluster_->power().budget();
   const Watts demand = cluster_->data().total_power();
   const auto& ladder = cluster_->ladder();
-  battery::Battery* battery =
-      config_.use_battery ? cluster_->power().battery() : nullptr;
+  // Null when the cluster has none: DVFS alone then closes the gap.
+  battery::Battery* battery = cluster_->power().battery();
 
   last_battery_power_ = Watts{0.0};
   const Watts deficit = demand - budget;
@@ -204,7 +200,7 @@ void AntiDopeScheme::on_slot(Time now, Duration slot) {
     const Watts projected =
         schemes::estimate_power_at_uniform(innocent_nodes_, next) +
         schemes::estimate_power_at_uniform(suspect_nodes_, suspect_target_);
-    if (projected <= budget * (1.0 - config_.headroom_margin)) {
+    if (projected <= budget * (1.0 - schemes::kRaiseHeadroom)) {
       innocent_target_ = next;
       schemes::request_uniform_level(innocent_nodes_, innocent_target_);
       headroom = std::max(Watts{0.0}, budget - projected);
@@ -215,7 +211,7 @@ void AntiDopeScheme::on_slot(Time now, Duration slot) {
         schemes::estimate_power_at_uniform(suspect_nodes_, next) +
         schemes::estimate_power_at_uniform(innocent_nodes_,
                                            innocent_target_);
-    if (projected <= budget * (1.0 - config_.headroom_margin)) {
+    if (projected <= budget * (1.0 - schemes::kRaiseHeadroom)) {
       suspect_target_ = next;
       schemes::request_uniform_level(suspect_nodes_, suspect_target_);
       headroom = std::max(Watts{0.0}, budget - projected);

@@ -44,19 +44,12 @@ struct AntiDopeConfig {
   Watts suspect_power_threshold{10.0};
   /// Fraction of servers dedicated to the suspect pool (at least one).
   double suspect_pool_fraction = 0.25;
-  /// Hysteresis headroom for frequency restoration.
-  double headroom_margin = 0.02;
-  /// Use the cluster battery as the actuation-transient bridge.
-  bool use_battery = true;
-  /// Balancing policy inside each pool.
-  net::LbPolicy pool_policy = net::LbPolicy::kLeastLoaded;
   /// Pre-built suspect list (e.g. from measured offline profiling);
   /// when absent, the list is derived from the catalog at attach time.
   std::optional<SuspectList> suspect_list;
   /// Learn per-URL power online from node telemetry and keep the suspect
   /// list current — catches attack URLs that were never profiled offline.
   bool online_learning = false;
-  OnlineClassifierConfig online{};
   /// Solve Algorithm 1's heterogeneous throttling list TL(p,q) per node
   /// (greedy watts-per-hertz) instead of one uniform suspect-pool level.
   bool per_node_throttling = false;

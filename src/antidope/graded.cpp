@@ -6,27 +6,23 @@
 
 namespace dope::antidope {
 
-GradedAntiDopeScheme::GradedAntiDopeScheme(GradedConfig config)
-    : config_(config) {
-  DOPE_REQUIRE(config_.num_classes >= 2, "graded needs >= 2 classes");
-  DOPE_REQUIRE(config_.pool_fraction_per_class > 0.0,
-               "pool fraction must be positive");
-  DOPE_REQUIRE(static_cast<double>(config_.num_classes - 1) *
-                       config_.pool_fraction_per_class <
-                   1.0,
-               "class pools leave no room for the lightest class");
-  DOPE_REQUIRE(
-      config_.headroom_margin >= 0.0 && config_.headroom_margin < 1.0,
-      "headroom margin must be in [0, 1)");
-}
+namespace {
+
+/// Number of power classes / pools.
+constexpr std::size_t kNumClasses = 3;
+/// Fraction of servers given to each non-lightest class pool; the
+/// lightest class receives the remainder.
+constexpr double kPoolFractionPerClass = 0.2;
+
+}  // namespace
 
 void GradedAntiDopeScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
   classifier_ = std::make_unique<PowerClassifier>(
       PowerClassifier::from_catalog(cluster.catalog(),
-                                    config_.num_classes));
+                                    kNumClasses));
   auto nodes = cluster.data().servers();
-  DOPE_REQUIRE(nodes.size() >= config_.num_classes,
+  DOPE_REQUIRE(nodes.size() >= kNumClasses,
                "need at least one server per class");
 
   // Heaviest classes get their dedicated slices from the top of the
@@ -34,12 +30,12 @@ void GradedAntiDopeScheme::attach(cluster::Cluster& cluster) {
   const auto per_class = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              static_cast<double>(nodes.size()) *
-                 config_.pool_fraction_per_class +
+                 kPoolFractionPerClass +
              0.5));
   pools_.clear();
-  pools_.resize(config_.num_classes);
+  pools_.resize(kNumClasses);
   std::size_t cursor = nodes.size();
-  for (std::size_t c = config_.num_classes - 1; c >= 1; --c) {
+  for (std::size_t c = kNumClasses - 1; c >= 1; --c) {
     const std::size_t take =
         std::min(per_class, cursor - 1);  // always leave >= 1 for class 0
     for (std::size_t i = 0; i < take; ++i) {
@@ -81,8 +77,7 @@ void GradedAntiDopeScheme::on_slot(Time now, Duration slot) {
   const Watts budget = cluster_->power().budget();
   const Watts demand = cluster_->data().total_power();
   const auto& ladder = cluster_->ladder();
-  battery::Battery* battery =
-      config_.use_battery ? cluster_->power().battery() : nullptr;
+  battery::Battery* battery = cluster_->power().battery();
 
   last_battery_power_ = Watts{0.0};
   const Watts deficit = demand - budget;
@@ -132,7 +127,7 @@ void GradedAntiDopeScheme::on_slot(Time now, Duration slot) {
       projected += schemes::estimate_power_at_uniform(
           pools_[other].nodes, pools_[other].target);
     }
-    if (projected <= budget * (1.0 - config_.headroom_margin)) {
+    if (projected <= budget * (1.0 - schemes::kRaiseHeadroom)) {
       pool.target = next;
       schemes::request_uniform_level(pool.nodes, pool.target);
       headroom = std::max(Watts{0.0}, budget - projected);

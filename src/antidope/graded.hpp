@@ -21,24 +21,9 @@
 
 namespace dope::antidope {
 
-/// Graded Anti-DOPE tuning.
-struct GradedConfig {
-  /// Number of power classes / pools.
-  std::size_t num_classes = 3;
-  /// Fraction of servers given to each non-lightest class pool; the
-  /// lightest class receives the remainder. Must leave room for it.
-  double pool_fraction_per_class = 0.2;
-  /// Hysteresis headroom for frequency restoration.
-  double headroom_margin = 0.02;
-  /// Use the cluster battery as the actuation-transient bridge.
-  bool use_battery = true;
-};
-
 /// n-pool, graded-throttling Anti-DOPE.
 class GradedAntiDopeScheme final : public cluster::ControlStage {
  public:
-  explicit GradedAntiDopeScheme(GradedConfig config = {});
-
   std::string name() const override { return "Graded-Anti-DOPE"; }
   void attach(cluster::Cluster& cluster) override;
   void detach() override;
@@ -60,7 +45,6 @@ class GradedAntiDopeScheme final : public cluster::ControlStage {
     power::DvfsLevel target = 0;
   };
 
-  GradedConfig config_;
   std::unique_ptr<PowerClassifier> classifier_;
   /// pools_[c] serves power class c (0 = lightest).
   std::vector<Pool> pools_;

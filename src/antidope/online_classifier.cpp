@@ -6,31 +6,35 @@
 
 namespace dope::antidope {
 
-OnlineClassifier::OnlineClassifier(std::size_t types, SuspectList initial,
-                                   OnlineClassifierConfig config)
-    : config_(config),
-      ewma_(types, Watts{0.0}),
+namespace {
+
+/// Per-request power at/above which a type becomes suspect.
+constexpr Watts kSuspectThreshold{10.0};
+/// Hysteresis: an already-suspect type stays suspect until its EWMA
+/// falls below kSuspectThreshold * (1 - kHysteresis).
+constexpr double kHysteresis = 0.2;
+/// EWMA smoothing factor per observation batch.
+constexpr double kAlpha = 0.2;
+/// Observations required before a type's estimate is trusted.
+constexpr std::size_t kMinObservations = 10;
+
+}  // namespace
+
+OnlineClassifier::OnlineClassifier(std::size_t types, SuspectList initial)
+    : ewma_(types, Watts{0.0}),
       count_(types, 0),
       flags_(types, false),
       suspects_(std::move(initial)) {
   DOPE_REQUIRE(types > 0, "need at least one type");
   DOPE_REQUIRE(suspects_.size() == types,
                "initial suspect list size mismatch");
-  DOPE_REQUIRE(config_.suspect_threshold > Watts{0.0},
-               "threshold must be positive");
-  DOPE_REQUIRE(config_.alpha > 0.0 && config_.alpha <= 1.0,
-               "alpha must be in (0, 1]");
-  DOPE_REQUIRE(config_.hysteresis >= 0.0 && config_.hysteresis < 1.0,
-               "hysteresis must be in [0, 1)");
   for (std::size_t t = 0; t < types; ++t) {
     flags_[t] = suspects_.suspicious(static_cast<workload::RequestTypeId>(t));
   }
 }
 
-OnlineClassifier OnlineClassifier::untrained(std::size_t types,
-                                             OnlineClassifierConfig config) {
-  return OnlineClassifier(types, SuspectList(std::vector<bool>(types, false)),
-                          config);
+OnlineClassifier OnlineClassifier::untrained(std::size_t types) {
+  return OnlineClassifier(types, SuspectList(std::vector<bool>(types, false)));
 }
 
 void OnlineClassifier::observe(const server::ServerNode& node) {
@@ -54,15 +58,15 @@ void OnlineClassifier::ingest(workload::RequestTypeId type,
   if (count_[type] == 0) {
     ewma = per_request_power;
   } else {
-    ewma += config_.alpha * (per_request_power - ewma);
+    ewma += kAlpha * (per_request_power - ewma);
   }
   ++count_[type];
-  if (count_[type] >= config_.min_observations) reclassify(type);
+  if (count_[type] >= kMinObservations) reclassify(type);
 }
 
 void OnlineClassifier::reclassify(workload::RequestTypeId type) {
-  const Watts up = config_.suspect_threshold;
-  const Watts down = up * (1.0 - config_.hysteresis);
+  const Watts up = kSuspectThreshold;
+  const Watts down = up * (1.0 - kHysteresis);
   const bool was = flags_[type];
   bool now = was;
   if (!was && ewma_[type] >= up) now = true;

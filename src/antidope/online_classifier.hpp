@@ -27,30 +27,15 @@
 
 namespace dope::antidope {
 
-/// Classifier tuning.
-struct OnlineClassifierConfig {
-  /// Per-request power at/above which a type becomes suspect.
-  Watts suspect_threshold{10.0};
-  /// Hysteresis: an already-suspect type stays suspect until its EWMA
-  /// falls below threshold * (1 - hysteresis).
-  double hysteresis = 0.2;
-  /// EWMA smoothing factor per observation batch (0 < alpha <= 1).
-  double alpha = 0.2;
-  /// Observations required before a type's estimate is trusted.
-  std::size_t min_observations = 10;
-};
-
 /// Learns per-URL-class power online and maintains a suspect list.
 class OnlineClassifier {
  public:
   /// `types`: catalog size. `initial`: prior flags (e.g. from offline
   /// profiling); types keep their prior until enough evidence arrives.
-  OnlineClassifier(std::size_t types, SuspectList initial,
-                   OnlineClassifierConfig config = {});
+  OnlineClassifier(std::size_t types, SuspectList initial);
 
   /// Convenience: start with every type innocent (nothing profiled).
-  static OnlineClassifier untrained(std::size_t types,
-                                    OnlineClassifierConfig config = {});
+  static OnlineClassifier untrained(std::size_t types);
 
   /// Ingests one node's telemetry sample: measured power, the node's
   /// idle-power estimate at its current level, and its active set.
@@ -76,7 +61,6 @@ class OnlineClassifier {
  private:
   void reclassify(workload::RequestTypeId type);
 
-  OnlineClassifierConfig config_;
   std::vector<Watts> ewma_;
   std::vector<std::size_t> count_;
   std::vector<bool> flags_;

@@ -6,11 +6,10 @@ namespace dope::antidope {
 
 PdfRouter::PdfRouter(SuspectList suspects,
                      std::vector<net::Backend*> suspect_pool,
-                     std::vector<net::Backend*> innocent_pool,
-                     net::LbPolicy policy)
+                     std::vector<net::Backend*> innocent_pool)
     : suspects_(std::move(suspects)),
-      suspect_lb_(policy, std::move(suspect_pool)),
-      innocent_lb_(policy, std::move(innocent_pool)) {}
+      suspect_lb_(net::LbPolicy::kLeastLoaded, std::move(suspect_pool)),
+      innocent_lb_(net::LbPolicy::kLeastLoaded, std::move(innocent_pool)) {}
 
 void PdfRouter::bind_spans(sim::Engine* engine, obs::SpanTracer* spans) {
   suspect_lb_.bind_spans(engine, spans, "suspect");

@@ -27,12 +27,11 @@ class Engine;
 
 namespace dope::antidope {
 
-/// URL-classified two-pool router.
+/// URL-classified two-pool router; each pool balances least-loaded.
 class PdfRouter {
  public:
   PdfRouter(SuspectList suspects, std::vector<net::Backend*> suspect_pool,
-            std::vector<net::Backend*> innocent_pool,
-            net::LbPolicy policy = net::LbPolicy::kLeastLoaded);
+            std::vector<net::Backend*> innocent_pool);
 
   /// Chooses a backend. Suspicious requests never spill into the innocent
   /// pool (isolation is the point); innocent requests may spill into the

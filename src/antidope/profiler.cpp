@@ -11,6 +11,12 @@ namespace dope::antidope {
 
 namespace {
 
+/// Probe rate as a fraction of the saturation rate (well below 1, so
+/// concurrency rarely reaches the core count).
+constexpr double kProbeFactor = 0.4;
+/// Overload rate as a multiple of the saturation rate.
+constexpr double kOverloadFactor = 1.5;
+
 /// Integrates the active-request count over time to obtain the average
 /// concurrency, sampled at every power-relevant transition.
 struct ConcurrencyIntegral {
@@ -93,9 +99,6 @@ std::vector<TypeProfile> profile_catalog(const workload::Catalog& catalog,
                                          const power::DvfsLadder& ladder,
                                          const ProfilerConfig& config) {
   DOPE_REQUIRE(config.duration > 0, "profiling duration must be positive");
-  DOPE_REQUIRE(config.probe_factor > 0 && config.probe_factor < 1,
-               "probe factor must be in (0, 1)");
-  DOPE_REQUIRE(config.overload_factor > 0, "overload factor must be positive");
 
   const Watts idle =
       power::ServerPowerModel(spec, ladder).idle_power(ladder.max_level());
@@ -111,12 +114,12 @@ std::vector<TypeProfile> profile_catalog(const workload::Catalog& catalog,
     // Phase 1 (probe): light load, attribution clean of the clamp.
     const PhaseResult probe =
         run_phase(catalog, spec, ladder, type,
-                  saturation_rps * config.probe_factor, config.duration,
+                  saturation_rps * kProbeFactor, config.duration,
                   config.seed + 2 * type);
     // Phase 2 (overload): saturated node power.
     const PhaseResult overload =
         run_phase(catalog, spec, ladder, type,
-                  saturation_rps * config.overload_factor, config.duration,
+                  saturation_rps * kOverloadFactor, config.duration,
                   config.seed + 2 * type + 1);
 
     TypeProfile result;

@@ -34,17 +34,12 @@ struct TypeProfile {
 };
 
 /// Profiling campaign parameters. Each type is measured twice: a
-/// *probe* phase at a fraction of the node's saturation rate (so the
-/// nameplate clamp never distorts the per-request attribution) and an
-/// *overload* phase that records the saturated node power.
+/// *probe* phase at 0.4x the node's saturation rate (so the nameplate
+/// clamp never distorts the per-request attribution) and an *overload*
+/// phase at 1.5x that records the saturated node power.
 struct ProfilerConfig {
   /// How long to load each type in each phase (simulated time).
   Duration duration = 30 * kSecond;
-  /// Probe rate as a fraction of the saturation rate (must stay well
-  /// below 1 so concurrency rarely reaches the core count).
-  double probe_factor = 0.4;
-  /// Overload rate as a multiple of the saturation rate.
-  double overload_factor = 1.5;
   std::uint64_t seed = 1234;
 };
 

@@ -10,11 +10,29 @@ namespace dope::attack {
 
 namespace {
 
+/// Rate the controller starts (and never backs off below) at.
+constexpr double kInitialRateRps = 10.0;
+constexpr double kMaxRateRps = 4000.0;
+/// Multiplicative ramp per epoch while undetected and un-effective.
+constexpr double kRampFactor = 1.4;
+/// Multiplicative backoff after detection.
+constexpr double kBackoffFactor = 0.5;
+/// Decision epoch.
+constexpr Duration kEpoch = 5 * kSecond;
+/// Fraction of an epoch's requests lost at the edge that counts as
+/// "detected".
+constexpr double kBlockTolerance = 0.02;
+/// Observed-latency multiple over baseline that counts as an effective
+/// power emergency.
+constexpr double kLatencyTarget = 3.0;
+/// Epochs spent establishing the latency baseline before ramping.
+constexpr unsigned kProbeEpochs = 2;
+
 workload::GeneratorConfig generator_config(const DopeAttackerConfig& config) {
   workload::GeneratorConfig gen;
   gen.name = "dope-attacker";
   gen.mixture = config.mixture;
-  gen.rate_rps = config.initial_rate_rps;
+  gen.rate_rps = kInitialRateRps;
   gen.num_sources = config.num_agents;
   gen.source_base = config.source_base;
   gen.ground_truth_attack = true;
@@ -42,18 +60,11 @@ DopeAttacker::DopeAttacker(sim::Engine& engine,
       config_(std::move(config)),
       generator_(engine, catalog, generator_config(config_), std::move(edge)) {
   DOPE_REQUIRE(!config_.mixture.empty(), "attacker needs a mixture");
-  DOPE_REQUIRE(config_.initial_rate_rps > 0, "initial rate must be positive");
-  DOPE_REQUIRE(config_.max_rate_rps >= config_.initial_rate_rps,
-               "max rate below initial rate");
-  DOPE_REQUIRE(config_.ramp_factor > 1.0, "ramp factor must exceed 1");
-  DOPE_REQUIRE(config_.backoff_factor > 0.0 && config_.backoff_factor < 1.0,
-               "backoff factor must be in (0, 1)");
-  DOPE_REQUIRE(config_.epoch > 0, "epoch must be positive");
   hub_ = engine_.obs();
   if (hub_ != nullptr) {
     obs_rate_ = &hub_->registry().gauge("attack.rate_rps");
   }
-  epoch_task_ = engine_.every(config_.epoch, [this] { on_epoch(); });
+  epoch_task_ = engine_.every(kEpoch, [this] { on_epoch(); });
 }
 
 DopeAttacker::~DopeAttacker() { stop(); }
@@ -117,7 +128,7 @@ void DopeAttacker::on_epoch() {
     case AttackPhase::kProbing:
       baseline_accum_ms_ += epoch_latency_sum_ms_;
       baseline_count_ += epoch_completed_;
-      if (epochs_seen_ >= config_.probe_epochs && baseline_count_ > 0) {
+      if (epochs_seen_ >= kProbeEpochs && baseline_count_ > 0) {
         baseline_latency_ms_ =
             baseline_accum_ms_ / static_cast<double>(baseline_count_);
         phase_ = AttackPhase::kRamping;
@@ -125,15 +136,15 @@ void DopeAttacker::on_epoch() {
       break;
 
     case AttackPhase::kRamping:
-      if (block_fraction > config_.block_tolerance) {
+      if (block_fraction > kBlockTolerance) {
         detected_ceiling_rps_ = rate;
-        rate = std::max(config_.initial_rate_rps,
-                        rate * config_.backoff_factor);
+        rate = std::max(kInitialRateRps,
+                        rate * kBackoffFactor);
         phase_ = AttackPhase::kBackoff;
-      } else if (latency_ratio >= config_.latency_target) {
+      } else if (latency_ratio >= kLatencyTarget) {
         phase_ = AttackPhase::kHolding;
       } else {
-        rate = std::min(config_.max_rate_rps, rate * config_.ramp_factor);
+        rate = std::min(kMaxRateRps, rate * kRampFactor);
         if (detected_ceiling_rps_ > 0.0) {
           // Creep toward, but stay safely under, the discovered ceiling.
           rate = std::min(rate, 0.8 * detected_ceiling_rps_);
@@ -142,24 +153,24 @@ void DopeAttacker::on_epoch() {
       break;
 
     case AttackPhase::kHolding:
-      if (block_fraction > config_.block_tolerance) {
+      if (block_fraction > kBlockTolerance) {
         detected_ceiling_rps_ = rate;
-        rate = std::max(config_.initial_rate_rps,
-                        rate * config_.backoff_factor);
+        rate = std::max(kInitialRateRps,
+                        rate * kBackoffFactor);
         phase_ = AttackPhase::kBackoff;
       } else if (latency_ratio > 0.0 &&
-                 latency_ratio < config_.latency_target * 0.5) {
+                 latency_ratio < kLatencyTarget * 0.5) {
         // Victim recovered (defense adapted); resume the hunt.
         phase_ = AttackPhase::kRamping;
       }
       break;
 
     case AttackPhase::kBackoff:
-      if (block_fraction <= config_.block_tolerance) {
+      if (block_fraction <= kBlockTolerance) {
         phase_ = AttackPhase::kRamping;
       } else {
-        rate = std::max(config_.initial_rate_rps,
-                        rate * config_.backoff_factor);
+        rate = std::max(kInitialRateRps,
+                        rate * kBackoffFactor);
       }
       break;
   }

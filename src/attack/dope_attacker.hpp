@@ -36,25 +36,9 @@ namespace dope::attack {
 struct DopeAttackerConfig {
   /// Traffic blend to flood with (a heavy single URL for classic DOPE).
   workload::Mixture mixture;
-  double initial_rate_rps = 10.0;
-  double max_rate_rps = 4000.0;
-  /// Multiplicative ramp per epoch while undetected and un-effective.
-  double ramp_factor = 1.4;
-  /// Multiplicative backoff after detection.
-  double backoff_factor = 0.5;
-  /// Decision epoch.
-  Duration epoch = 5 * kSecond;
   /// Number of bot agents the rate is spread over.
   unsigned num_agents = 64;
   workload::SourceId source_base = 1'000'000;
-  /// Fraction of an epoch's requests lost at the edge that counts as
-  /// "detected".
-  double block_tolerance = 0.02;
-  /// Observed-latency multiple over baseline that counts as an effective
-  /// power emergency.
-  double latency_target = 3.0;
-  /// Epochs spent establishing the latency baseline before ramping.
-  unsigned probe_epochs = 2;
   std::uint64_t seed = 99;
 };
 

@@ -24,29 +24,20 @@ Battery::Battery(BatterySpec spec) : spec_(spec), stored_(spec.capacity) {
                "battery capacity must be positive");
   DOPE_REQUIRE(spec_.charge_efficiency > 0 && spec_.charge_efficiency <= 1.0,
                "charge efficiency must be in (0, 1]");
-  DOPE_REQUIRE(
-      spec_.reserve_fraction >= 0.0 && spec_.reserve_fraction < 1.0,
-      "reserve fraction must be in [0, 1)");
 }
 
 double Battery::soc() const { return stored_ / spec_.capacity; }
 
-Joules Battery::shavable() const {
-  return std::max(Joules{0.0},
-                  stored_ - spec_.reserve_fraction * spec_.capacity);
-}
-
-Watts Battery::discharge(Watts power, Duration slot, bool emergency) {
+Watts Battery::discharge(Watts power, Duration slot) {
   DOPE_REQUIRE(power >= Watts{0.0}, "discharge power must be non-negative");
   DOPE_REQUIRE(slot > 0, "slot must be positive");
-  const Joules available = emergency ? stored_ : shavable();
-  if (power <= Watts{0.0} || available <= Joules{0.0}) return Watts{0.0};
+  if (power <= Watts{0.0} || empty()) return Watts{0.0};
   Watts deliverable = power;
   if (spec_.max_discharge > Watts{0.0}) {
     deliverable = std::min(deliverable, spec_.max_discharge);
   }
-  // Energy-limited: cannot deliver more than what is available this slot.
-  const Watts energy_limit = available / slot;
+  // Energy-limited: cannot deliver more than what is stored this slot.
+  const Watts energy_limit = stored_ / slot;
   deliverable = std::min(deliverable, energy_limit);
   const Joules withdrawn = energy_of(deliverable, slot);
   stored_ = std::max(Joules{0.0}, stored_ - withdrawn);

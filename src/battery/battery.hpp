@@ -27,12 +27,6 @@ struct BatterySpec {
   Watts max_charge{0.0};
   /// Fraction of charged energy actually stored (round-trip efficiency).
   double charge_efficiency = 0.9;
-  /// Fraction of capacity held back for outage ride-through: ordinary
-  /// peak-shaving discharge stops at this floor so the battery's original
-  /// emergency function is never compromised (the paper's requirement
-  /// that shaving not impair "normal functionality"). Emergency discharge
-  /// may go below it.
-  double reserve_fraction = 0.0;
 
   /// Sizes a battery that can sustain `load` for `duration` (the paper's
   /// 2-minute mini battery), with discharge rate exactly `load` and a
@@ -59,14 +53,9 @@ class Battery {
 
   /// Requests `power` watts of discharge for `slot` microseconds. Returns
   /// the power actually delivered (possibly less than requested when the
-  /// C-rate limit, remaining energy, or the reserve floor binds).
-  /// Withdraws the corresponding energy from the store. Peak-shaving
-  /// discharge respects `reserve_fraction`; pass `emergency = true` for
-  /// outage ride-through, which may drain into the reserve.
-  Watts discharge(Watts power, Duration slot, bool emergency = false);
-
-  /// Energy available to non-emergency (peak-shaving) discharge.
-  Joules shavable() const;
+  /// C-rate limit or remaining energy binds). Withdraws the corresponding
+  /// energy from the store.
+  Watts discharge(Watts power, Duration slot);
 
   /// Offers `power` watts of headroom for `slot` microseconds. Returns the
   /// power actually drawn from the supply for recharging (capped by the

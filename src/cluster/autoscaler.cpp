@@ -7,17 +7,23 @@
 
 namespace dope::cluster {
 
+namespace {
+
+/// Wake nodes when busy-core utilisation of the serving set exceeds
+/// this...
+constexpr double kScaleUpUtilization = 0.75;
+/// ...and drain nodes when it falls below this (hysteresis band).
+constexpr double kScaleDownUtilization = 0.35;
+/// Controller period.
+constexpr Duration kPeriod = 5 * kSecond;
+
+}  // namespace
+
 AutoScaler::AutoScaler(Cluster& cluster, AutoScalerConfig config)
     : cluster_(&cluster), config_(config) {
   DOPE_REQUIRE(config_.min_active >= 1, "need at least one active node");
-  DOPE_REQUIRE(config_.scale_down_utilization >= 0.0 &&
-                   config_.scale_down_utilization <
-                       config_.scale_up_utilization &&
-                   config_.scale_up_utilization <= 1.0,
-               "utilisation thresholds must form a band within [0, 1]");
-  DOPE_REQUIRE(config_.period > 0, "period must be positive");
   DOPE_REQUIRE(config_.step >= 1, "step must be at least one node");
-  task_ = cluster.engine().every(config_.period, [this] { tick(); });
+  task_ = cluster.engine().every(kPeriod, [this] { tick(); });
 }
 
 AutoScaler::~AutoScaler() { task_.stop(); }
@@ -70,7 +76,7 @@ void AutoScaler::tick() {
   }
 
   const double util = utilization();
-  if (util > config_.scale_up_utilization) {
+  if (util > kScaleUpUtilization) {
     // Cheapest capacity first: cancel in-progress drains...
     unsigned woken = 0;
     while (!draining_.empty() && woken < config_.step) {
@@ -92,7 +98,7 @@ void AutoScaler::tick() {
     return;
   }
 
-  if (util < config_.scale_down_utilization) {
+  if (util < kScaleDownUtilization) {
     // Drain the highest-index serving nodes, keeping the minimum fleet.
     const std::size_t serving = serving_count();
     if (serving <= config_.min_active) return;

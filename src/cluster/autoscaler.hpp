@@ -26,13 +26,6 @@ class Cluster;
 struct AutoScalerConfig {
   /// Never park below this many serving nodes.
   std::size_t min_active = 1;
-  /// Wake nodes when busy-core utilisation of the serving set exceeds
-  /// this...
-  double scale_up_utilization = 0.75;
-  /// ...and drain nodes when it falls below this (hysteresis band).
-  double scale_down_utilization = 0.35;
-  /// Controller period.
-  Duration period = 5 * kSecond;
   /// Nodes woken/drained per decision.
   unsigned step = 1;
 };

@@ -48,6 +48,13 @@
 
 namespace dope::cluster {
 
+/// How long the facility stays dark after a breaker trip before the
+/// breaker is reset and servers begin rebooting.
+inline constexpr Duration kOutageRecovery = 30 * kSecond;
+/// Per-server reboot time after power returns (after a facility outage
+/// or a single-node outage).
+inline constexpr Duration kRebootTime = 10 * kSecond;
+
 /// Everything needed to stand up a cluster.
 struct ClusterConfig {
   /// Leaf-node count (the paper's mini rack has 4; evaluation scales up).
@@ -65,9 +72,6 @@ struct ClusterConfig {
   Duration slot = 1 * kSecond;
   /// Battery sized to sustain the full cluster for this long; 0 = none.
   Duration battery_runtime = 0;
-  /// Fraction of battery capacity reserved for outage ride-through;
-  /// peak shaving never discharges below it.
-  double battery_reserve_fraction = 0.0;
   /// Ingress switch capacity; disabled (infinite wire) when nullopt.
   std::optional<net::SwitchConfig> network_switch;
   /// Perimeter firewall; disabled when nullopt.
@@ -75,11 +79,6 @@ struct ClusterConfig {
   /// Branch-circuit breaker protecting the utility feed; when the feed's
   /// draw trips it, the whole cluster suffers an unplanned outage.
   std::optional<power::BreakerSpec> breaker;
-  /// How long the facility stays dark after a trip before the breaker is
-  /// reset and servers begin rebooting.
-  Duration outage_recovery = 30 * kSecond;
-  /// Per-server reboot time after power returns.
-  Duration reboot_time = 10 * kSecond;
   /// Default NLB policy when no control stage routes.
   net::LbPolicy lb_policy = net::LbPolicy::kLeastLoaded;
   /// Zone index inside a `site::Site`; -1 for a standalone cluster.

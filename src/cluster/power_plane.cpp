@@ -32,10 +32,8 @@ PowerPlane::PowerPlane(Cluster& owner, DataPlane& data,
       signal_breaker_heat_(
           zone_name(Cluster::kSignalBreakerHeat, config.zone)) {
   if (config.battery_runtime > 0) {
-    auto spec = battery::BatterySpec::sized_for(total_nameplate(),
-                                                config.battery_runtime);
-    spec.reserve_fraction = config.battery_reserve_fraction;
-    battery_.emplace(spec);
+    battery_.emplace(battery::BatterySpec::sized_for(
+        total_nameplate(), config.battery_runtime));
   }
   if (config.breaker.has_value()) {
     breaker_.emplace(*config.breaker);
@@ -224,7 +222,7 @@ void PowerPlane::run_slot(Time now) {
       hub_->event(std::move(e));
     }
     data_.power_off_all();
-    engine.schedule_after(config_.outage_recovery, [this] {
+    engine.schedule_after(kOutageRecovery, [this] {
       breaker_->reset();
       in_outage_ = false;
       sim::Engine& eng = owner_.engine();
@@ -239,7 +237,7 @@ void PowerPlane::run_slot(Time now) {
         if (zone_ >= 0) e.num.emplace_back("zone", zone_);
         hub_->event(std::move(e));
       }
-      data_.power_on_all(config_.reboot_time);
+      data_.power_on_all(kRebootTime);
     });
   }
   if (hub_ != nullptr && breaker_) obs_breaker_heat_->set(breaker_->heat());

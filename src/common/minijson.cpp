@@ -8,6 +8,11 @@ namespace dope::minijson {
 
 namespace {
 
+/// Containers nested deeper than this are rejected, which bounds the
+/// parser's recursion on hostile input. Our own documents nest far
+/// less: an incident bundle reaches depth 7, a `.repro.json` depth 4.
+constexpr int kMaxDepth = 64;
+
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error("json: " + message);
 }
@@ -57,8 +62,14 @@ class Parser {
 
   Value parse_value() {
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      Value value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return parse_string();
     if (c == 't' || c == 'f') return parse_bool();
     if (c == 'n') return parse_null();
@@ -158,6 +169,8 @@ class Parser {
 
   std::string text_;
   std::size_t pos_ = 0;
+  /// Containers currently open around `pos_`.
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -8,8 +8,9 @@
 // rejected — and keeps numeric tokens as raw text so 64-bit seeds are
 // never squeezed through a double.
 //
-// Errors throw std::runtime_error with a "json: " prefix; callers that
-// want their own prefix catch and re-throw.
+// Containers may nest at most 64 deep. Errors throw std::runtime_error
+// with a "json: " prefix; callers that want their own prefix catch and
+// re-throw.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
 #include "fuzz/domain.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
-#include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "power/power_model.hpp"
 #include "power/provisioning.hpp"
@@ -13,6 +13,59 @@ namespace dope::fuzz {
 namespace {
 
 using workload::Catalog;
+
+// The sampled space. Every constant bounds or gates one `ScenarioConfig`
+// dimension.
+
+// --- topology ---
+constexpr std::size_t kMinServers = 2;
+constexpr std::size_t kMaxServers = 12;
+
+// --- power provisioning ---
+constexpr power::BudgetLevel kBudgets[] = {
+    power::BudgetLevel::kNormal, power::BudgetLevel::kHigh,
+    power::BudgetLevel::kMedium, power::BudgetLevel::kLow};
+
+/// Schemes under test (one per case). The differential oracle always
+/// adds the uncapped `kNone` reference run on top.
+constexpr scenario::SchemeKind kSchemes[] = {
+    scenario::SchemeKind::kCapping, scenario::SchemeKind::kShaving,
+    scenario::SchemeKind::kToken, scenario::SchemeKind::kAntiDope};
+
+// --- observation window (whole seconds) ---
+constexpr Duration kMinDuration = 20 * kSecond;
+constexpr Duration kMaxDuration = 90 * kSecond;
+
+// --- normal traffic ---
+constexpr double kMinNormalRps = 25.0;
+constexpr double kMaxNormalRps = 600.0;
+/// Chance of a random service blend instead of the AliOS normal mix.
+constexpr double kPCustomNormalMixture = 0.3;
+constexpr double kPNormalRatePlan = 0.25;
+
+// --- attack traffic ---
+constexpr double kPAttack = 0.75;
+constexpr double kMinAttackRps = 50.0;
+constexpr double kMaxAttackRps = 900.0;
+constexpr double kPAttackRatePlan = 0.35;
+constexpr std::size_t kMaxRateSteps = 3;
+
+// --- infrastructure toggles ---
+constexpr double kPBattery = 0.7;
+constexpr double kPFirewall = 0.25;
+constexpr double kPBreaker = 0.2;
+
+// --- mid-run chaos ---
+constexpr double kPNodeOutage = 0.3;
+constexpr std::size_t kMaxNodeOutages = 2;
+
+// --- multi-zone sites (docs/SITE.md) ---
+/// Chance a case is a multi-zone `site::Site` instead of a single
+/// cluster; when it hits, the zone count is drawn from [2, kMaxZones]
+/// along with a GLB policy, a budget divider, random zone weights, and
+/// (half the time) a zone-concentrated attack.
+constexpr double kPSite = 0.3;
+constexpr std::size_t kMaxZones = 3;
 
 /// Draws a whole-second duration in [lo, hi] (keeps repro files tidy).
 Duration sample_seconds(Rng& rng, Duration lo, Duration hi) {
@@ -103,17 +156,6 @@ Watts expected_budget(const scenario::ScenarioConfig& config) {
   return per_zone * static_cast<double>(config.num_zones);
 }
 
-ScenarioSampler::ScenarioSampler(Domain domain) : domain_(std::move(domain)) {
-  DOPE_REQUIRE(!domain_.budgets.empty(), "fuzz domain needs budget levels");
-  DOPE_REQUIRE(!domain_.schemes.empty(), "fuzz domain needs schemes");
-  DOPE_REQUIRE(domain_.min_servers >= 1 &&
-                   domain_.min_servers <= domain_.max_servers,
-               "fuzz domain server bounds are inverted");
-  DOPE_REQUIRE(domain_.min_duration >= 2 * kSecond &&
-                   domain_.min_duration <= domain_.max_duration,
-               "fuzz domain duration bounds are invalid");
-}
-
 std::uint64_t ScenarioSampler::derive_case_seed(std::uint64_t campaign_seed,
                                                 std::uint64_t index) {
   // splitmix64 over (campaign, index): one well-mixed stream per
@@ -133,60 +175,57 @@ FuzzCase ScenarioSampler::sample(std::uint64_t case_seed) const {
   config.seed = case_seed;
 
   // --- scheme under test, topology, provisioning ---
-  fuzz_case.scheme = domain_.schemes[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(domain_.schemes.size()) - 1))];
+  fuzz_case.scheme = kSchemes[static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(std::size(kSchemes)) - 1))];
   config.num_servers = static_cast<std::size_t>(rng.uniform_int(
-      static_cast<std::int64_t>(domain_.min_servers),
-      static_cast<std::int64_t>(domain_.max_servers)));
-  config.budget = domain_.budgets[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(domain_.budgets.size()) - 1))];
-  config.duration =
-      sample_seconds(rng, domain_.min_duration, domain_.max_duration);
+      static_cast<std::int64_t>(kMinServers),
+      static_cast<std::int64_t>(kMaxServers)));
+  config.budget = kBudgets[static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(std::size(kBudgets)) - 1))];
+  config.duration = sample_seconds(rng, kMinDuration, kMaxDuration);
 
   const Duration slots[] = {500 * kMillisecond, kSecond, 2 * kSecond};
   config.slot = slots[static_cast<std::size_t>(rng.uniform_int(0, 2))];
 
   // --- infrastructure ---
   config.battery_runtime =
-      rng.chance(domain_.p_battery) ? rng.uniform_int(1, 3) * kMinute : 0;
+      rng.chance(kPBattery) ? rng.uniform_int(1, 3) * kMinute : 0;
   if (fuzz_case.scheme == scenario::SchemeKind::kShaving &&
       config.battery_runtime == 0) {
     // ShavingScheme requires a cluster battery by contract; keep the
     // case valid without disturbing the draw sequence.
     config.battery_runtime = kMinute;
   }
-  if (rng.chance(domain_.p_firewall)) {
+  if (rng.chance(kPFirewall)) {
     net::FirewallConfig firewall;
     firewall.threshold_rps = rng.uniform(100.0, 300.0);
     firewall.check_interval = 5 * kSecond;
     config.firewall = firewall;
   }
-  if (rng.chance(domain_.p_breaker)) {
+  if (rng.chance(kPBreaker)) {
     power::BreakerSpec breaker;
     breaker.rated = expected_budget(config) * rng.uniform(1.05, 1.45);
     config.breaker = breaker;
   }
 
   // --- normal traffic ---
-  config.normal_rps =
-      rng.uniform(domain_.min_normal_rps, domain_.max_normal_rps);
+  config.normal_rps = rng.uniform(kMinNormalRps, kMaxNormalRps);
   config.normal_sources =
       static_cast<unsigned>(rng.uniform_int(64, 512));
-  if (rng.chance(domain_.p_custom_normal_mixture)) {
+  if (rng.chance(kPCustomNormalMixture)) {
     config.normal_mixture = sample_mixture(
         rng, {Catalog::kCollaFilt, Catalog::kKMeans, Catalog::kWordCount,
               Catalog::kTextCont, Catalog::kDnsQuery});
   }
-  if (rng.chance(domain_.p_normal_rate_plan)) {
+  if (rng.chance(kPNormalRatePlan)) {
     config.normal_rate_plan =
         sample_rate_plan(rng, config.duration, 1.5 * config.normal_rps,
-                         domain_.max_rate_steps);
+                         kMaxRateSteps);
   }
 
   // --- attack traffic ---
-  if (rng.chance(domain_.p_attack)) {
-    config.attack_rps =
-        rng.uniform(domain_.min_attack_rps, domain_.max_attack_rps);
+  if (rng.chance(kPAttack)) {
+    config.attack_rps = rng.uniform(kMinAttackRps, kMaxAttackRps);
     config.attack_agents = static_cast<unsigned>(rng.uniform_int(8, 128));
     config.attack_mixture = sample_mixture(
         rng,
@@ -200,18 +239,17 @@ FuzzCase ScenarioSampler::sample(std::uint64_t case_seed) const {
               sample_seconds(rng, config.duration / 4,
                              2 * config.duration / 3));
     }
-    if (rng.chance(domain_.p_attack_rate_plan)) {
-      config.attack_rate_plan =
-          sample_rate_plan(rng, config.duration, domain_.max_attack_rps,
-                           domain_.max_rate_steps);
+    if (rng.chance(kPAttackRatePlan)) {
+      config.attack_rate_plan = sample_rate_plan(
+          rng, config.duration, kMaxAttackRps, kMaxRateSteps);
     }
   }
 
   // --- mid-run chaos: single-node outages ---
-  if (rng.chance(domain_.p_node_outage) && config.num_servers > 1) {
+  if (rng.chance(kPNodeOutage) && config.num_servers > 1) {
     const std::size_t count = std::min(
         {static_cast<std::size_t>(rng.uniform_int(
-             1, static_cast<std::int64_t>(domain_.max_node_outages))),
+             1, static_cast<std::int64_t>(kMaxNodeOutages))),
          config.num_servers});
     std::vector<std::size_t> picked;
     for (std::size_t i = 0; i < count; ++i) {
@@ -235,9 +273,9 @@ FuzzCase ScenarioSampler::sample(std::uint64_t case_seed) const {
   // --- multi-zone sites (sampled last: single-zone cases keep the
   // exact draw sequence — and therefore the exact case — they had
   // before sites existed) ---
-  if (domain_.max_zones > 1 && rng.chance(domain_.p_site)) {
+  if (rng.chance(kPSite)) {
     config.num_zones = static_cast<std::size_t>(rng.uniform_int(
-        2, static_cast<std::int64_t>(domain_.max_zones)));
+        2, static_cast<std::int64_t>(kMaxZones)));
     const site::GlobalLbPolicy policies[] = {
         site::GlobalLbPolicy::kWeighted, site::GlobalLbPolicy::kLeastLoaded,
         site::GlobalLbPolicy::kZoneAffinity};

@@ -3,76 +3,22 @@
 // The paper's threat model is adversarial *search*: a DOPE attacker
 // sweeps the scenario space for the traffic shape that trips breakers
 // under oversubscription, so hand-picked test grids systematically
-// under-explore exactly the corners an attacker would find. `Domain`
-// declares the searchable space — scheme × budget × traffic shape ×
-// topology size × mid-run chaos — and `ScenarioSampler` maps a single
-// `uint64_t` seed to one concrete, always-valid `FuzzCase` via the
-// repo's deterministic RNG. A failing case therefore *is* its seed:
+// under-explore exactly the corners an attacker would find. The
+// searchable space — scheme × budget × traffic shape × topology size ×
+// mid-run chaos — is fixed by constants in domain.cpp that cover the
+// paper's evaluation envelope plus the chaos the paper never
+// hand-tested, and `ScenarioSampler` maps a single `uint64_t` seed to
+// one concrete, always-valid `FuzzCase` via the repo's deterministic
+// RNG. A failing case therefore *is* its seed:
 // `dopefuzz --case-seed N` rebuilds it bit-for-bit anywhere.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "scenario/scenario.hpp"
 
 namespace dope::fuzz {
-
-/// Declarative scenario space the sampler draws from. Every knob bounds
-/// or gates one `ScenarioConfig` dimension; defaults cover the paper's
-/// evaluation envelope plus the chaos the paper never hand-tested.
-struct Domain {
-  // --- topology ---
-  std::size_t min_servers = 2;
-  std::size_t max_servers = 12;
-
-  // --- power provisioning ---
-  std::vector<power::BudgetLevel> budgets = {
-      power::BudgetLevel::kNormal, power::BudgetLevel::kHigh,
-      power::BudgetLevel::kMedium, power::BudgetLevel::kLow};
-
-  /// Schemes under test (one per case). The differential oracle always
-  /// adds the uncapped `kNone` reference run on top.
-  std::vector<scenario::SchemeKind> schemes = {
-      scenario::SchemeKind::kCapping, scenario::SchemeKind::kShaving,
-      scenario::SchemeKind::kToken, scenario::SchemeKind::kAntiDope};
-
-  // --- observation window (whole seconds) ---
-  Duration min_duration = 20 * kSecond;
-  Duration max_duration = 90 * kSecond;
-
-  // --- normal traffic ---
-  double min_normal_rps = 25.0;
-  double max_normal_rps = 600.0;
-  /// Chance of a random service blend instead of the AliOS normal mix.
-  double p_custom_normal_mixture = 0.3;
-  double p_normal_rate_plan = 0.25;
-
-  // --- attack traffic ---
-  double p_attack = 0.75;
-  double min_attack_rps = 50.0;
-  double max_attack_rps = 900.0;
-  double p_attack_rate_plan = 0.35;
-  std::size_t max_rate_steps = 3;
-
-  // --- infrastructure toggles ---
-  double p_battery = 0.7;
-  double p_firewall = 0.25;
-  double p_breaker = 0.2;
-
-  // --- mid-run chaos ---
-  double p_node_outage = 0.3;
-  std::size_t max_node_outages = 2;
-
-  // --- multi-zone sites (docs/SITE.md) ---
-  /// Chance a case is a multi-zone `site::Site` instead of a single
-  /// cluster; when it hits, the zone count is drawn from
-  /// [2, max_zones] along with a GLB policy, a budget divider, random
-  /// zone weights, and (half the time) a zone-concentrated attack.
-  double p_site = 0.3;
-  std::size_t max_zones = 3;
-};
 
 /// One sampled point of the domain. `config` carries the full scenario
 /// with `scheme == kNone` (the oracle's uncapped reference); the scheme
@@ -98,13 +44,9 @@ scenario::ScenarioConfig materialize(const FuzzCase& fuzz_case,
 /// oracle does not trust the code under test for its expectation.
 Watts expected_budget(const scenario::ScenarioConfig& config);
 
-/// Deterministic seed → case mapping over one domain.
+/// Deterministic seed → case mapping over the fuzz domain.
 class ScenarioSampler {
  public:
-  explicit ScenarioSampler(Domain domain = {});
-
-  const Domain& domain() const { return domain_; }
-
   /// Draws the case for `case_seed`. Same seed, same case — always.
   FuzzCase sample(std::uint64_t case_seed) const;
 
@@ -112,9 +54,6 @@ class ScenarioSampler {
   /// stream, so neighbouring indices are statistically independent).
   static std::uint64_t derive_case_seed(std::uint64_t campaign_seed,
                                         std::uint64_t index);
-
- private:
-  Domain domain_;
 };
 
 }  // namespace dope::fuzz

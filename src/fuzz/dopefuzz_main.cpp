@@ -135,11 +135,8 @@ int run_single(const fuzz::FuzzCase& fuzz_case,
   fuzz::FuzzCase minimized = fuzz_case;
   fuzz::OracleReport minimized_report = report;
   if (options.shrink_failures) {
-    fuzz::ShrinkOptions shrink_options;
-    shrink_options.max_attempts = options.shrink_max_attempts;
-    shrink_options.oracle = options.oracle;
     const fuzz::ShrinkResult shrunk =
-        fuzz::shrink(fuzz_case, report, shrink_options);
+        fuzz::shrink(fuzz_case, report, {options.oracle});
     minimized = shrunk.minimized;
     minimized_report = shrunk.report;
     std::cout << "shrunk to " << minimized.label() << " (" << shrunk.steps
@@ -215,7 +212,7 @@ int main(int argc, char** argv) {
   try {
     // Single-case modes: judge one case on this thread, no campaign.
     if (have_case_seed) {
-      const fuzz::ScenarioSampler sampler(options.domain);
+      const fuzz::ScenarioSampler sampler;
       return run_single(sampler.sample(case_seed), options, repro_path, {});
     }
     if (!replay_path.empty()) {

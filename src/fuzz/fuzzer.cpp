@@ -7,12 +7,30 @@
 #include <ostream>
 
 #include "common/parallel.hpp"
+#include "common/thread_annotations.hpp"
 #include "obs/json.hpp"
 
 namespace dope::fuzz {
 
+namespace {
+
+// Progress instruments shared by the worker tasks, laid out like the
+// sweep runner's. Registry instruments and the live tally are not
+// thread-safe, so every post-spawn touch happens under `mu`; the clang
+// -Wthread-safety lane proves it. The pointers themselves are set once
+// before the pool spawns.
+struct ProgressBoard {
+  std::mutex mu;
+  obs::Counter* completed PT_GUARDED_BY(mu) = nullptr;
+  obs::Counter* failed PT_GUARDED_BY(mu) = nullptr;
+  obs::Counter* shrink_steps PT_GUARDED_BY(mu) = nullptr;
+  obs::LiveSnapshot tally GUARDED_BY(mu);
+};
+
+}  // namespace
+
 CampaignResult run_campaign(const CampaignOptions& options) {
-  const ScenarioSampler sampler(options.domain);
+  const ScenarioSampler sampler;
 
   CampaignResult merged;
   merged.campaign_seed = options.campaign_seed;
@@ -24,22 +42,21 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   std::vector<std::uint8_t> failed(options.cases, 0);
 
   // Progress instruments. The registry is not thread-safe, so create
-  // them up front on this thread and serialise updates below.
-  obs::Counter* completed = nullptr;
-  obs::Counter* failed_counter = nullptr;
-  obs::Counter* shrink_steps = nullptr;
-  std::mutex obs_mutex;
+  // them up front on this thread.
+  ProgressBoard board;
   if (options.obs != nullptr) {
     auto& registry = options.obs->registry();
     registry.counter("fuzz.cases_total")
         .inc(static_cast<double>(options.cases));
-    completed = &registry.counter("fuzz.cases_completed");
-    failed_counter = &registry.counter("fuzz.cases_failed");
-    shrink_steps = &registry.counter("fuzz.shrink_steps");
+    board.completed = &registry.counter("fuzz.cases_completed");
+    board.failed = &registry.counter("fuzz.cases_failed");
+    board.shrink_steps = &registry.counter("fuzz.shrink_steps");
   }
-  obs::LiveSnapshot tally;
-  tally.runs_total = options.cases;
-  if (options.live != nullptr) options.live->publish(tally);
+  {
+    std::lock_guard<std::mutex> lock(board.mu);
+    board.tally.runs_total = options.cases;
+    if (options.live != nullptr) options.live->publish(board.tally);
+  }
 
   std::atomic<std::size_t> total_runs{0};
 
@@ -67,11 +84,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         failure.minimized = fuzz_case;
         failure.minimized_report = record.report;
         if (options.shrink_failures) {
-          ShrinkOptions shrink_options;
-          shrink_options.max_attempts = options.shrink_max_attempts;
-          shrink_options.oracle = options.oracle;
           ShrinkResult shrunk =
-              shrink(fuzz_case, record.report, shrink_options);
+              shrink(fuzz_case, record.report, {options.oracle});
           case_runs += shrunk.total_runs;
           case_shrink_steps = shrunk.steps;
           failure.minimized = std::move(shrunk.minimized);
@@ -87,25 +101,26 @@ CampaignResult run_campaign(const CampaignOptions& options) {
               std::chrono::steady_clock::now() - start)
               .count();
       if (options.obs != nullptr || options.live != nullptr) {
-        std::lock_guard<std::mutex> lock(obs_mutex);
+        std::lock_guard<std::mutex> lock(board.mu);
         if (options.obs != nullptr) {
-          completed->inc();
-          if (failed[i] != 0) failed_counter->inc();
+          board.completed->inc();
+          if (failed[i] != 0) board.failed->inc();
           if (case_shrink_steps > 0) {
-            shrink_steps->inc(static_cast<double>(case_shrink_steps));
+            board.shrink_steps->inc(static_cast<double>(case_shrink_steps));
           }
         }
         if (options.live != nullptr) {
-          tally.record(failed[i] == 0, elapsed_ms);
-          options.live->publish(tally);
+          board.tally.record(failed[i] == 0, elapsed_ms);
+          options.live->publish(board.tally);
         }
       }
     });
   }
   pool.wait_idle();
   if (options.live != nullptr) {
-    tally.done = true;
-    options.live->publish(tally);
+    std::lock_guard<std::mutex> lock(board.mu);
+    board.tally.done = true;
+    options.live->publish(board.tally);
   }
 
   merged.total_runs = total_runs.load();

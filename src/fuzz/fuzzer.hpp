@@ -34,11 +34,9 @@ struct CampaignOptions {
   std::size_t cases = 100;
   /// Worker threads; 0 selects the hardware concurrency.
   std::size_t threads = 0;
-  Domain domain;
   OracleOptions oracle;
   /// Shrink failing cases before reporting them.
   bool shrink_failures = true;
-  std::size_t shrink_max_attempts = 128;
   /// Optional progress hub (see file comment). Caller owns.
   obs::Hub* obs = nullptr;
   /// Optional live telemetry tap: one snapshot per finished case, read

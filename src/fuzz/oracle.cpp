@@ -11,6 +11,15 @@ namespace dope::fuzz {
 
 namespace {
 
+/// Relative slack on the utility-energy budget envelope (covers sub-slot
+/// reaction transients).
+constexpr double kBudgetEnvelopeSlack = 0.10;
+/// A managed scheme may consume at most this multiple of the uncapped
+/// reference's load energy (DVFS throttling inflates per-request energy
+/// for frequency-insensitive types, so the bound is loose — it exists to
+/// catch double-counting, not to be tight).
+constexpr double kAdmittedEnergyMultiple = 1.6;
+
 /// a <= b with mixed absolute/relative slack at magnitude `scale`.
 bool loosely_le(double a, double b, double scale) {
   return a <= b + 1e-6 + 1e-9 * std::abs(scale);
@@ -40,9 +49,8 @@ RunOutcome execute(const scenario::ScenarioConfig& config) {
 
 class Judge {
  public:
-  Judge(const FuzzCase& fuzz_case, const OracleOptions& options,
-        OracleReport& report)
-      : fuzz_case_(fuzz_case), options_(options), report_(report) {}
+  Judge(const FuzzCase& fuzz_case, OracleReport& report)
+      : fuzz_case_(fuzz_case), report_(report) {}
 
   void flag(const std::string& check, const std::string& scheme,
             const std::string& detail) {
@@ -201,6 +209,9 @@ class Judge {
       }
       Joules zone_load{0.0};
       Watts zone_budgets{0.0};
+      // Site-level slot counts are summed over zones, and all zones
+      // share one slot length.
+      const std::uint64_t zone_slots = r.slot_stats.slots / config.num_zones;
       for (std::size_t z = 0; z < r.zones.size(); ++z) {
         const auto& zone = r.zones[z];
         zone_load += zone.load_energy;
@@ -209,7 +220,7 @@ class Judge {
             zone.availability > 1.0 + 1e-9 ||
             zone.load_energy < Joules{-1e-9} ||
             zone.budget < site::kMinZoneBudget - Watts{1e-9} ||
-            zone.violation_slots > r.slot_stats.slots) {
+            zone.violation_slots > zone_slots) {
           detail << "zone " << z << ": availability="
                  << zone.availability << ", load="
                  << zone.load_energy.value() << " J, budget="
@@ -259,33 +270,33 @@ class Judge {
     if (budgeted) {
       const Joules envelope =
           expected_budget(fuzz_case_.config) * scheme_config.duration *
-          (1.0 + options_.budget_envelope_slack);
+          (1.0 + kBudgetEnvelopeSlack);
       if (!loosely_le(r.energy.utility_total().value(),
                       envelope.value() + 1.0, envelope.value())) {
         detail << "utility energy " << r.energy.utility_total().value()
                << " J above envelope " << envelope.value() << " J ("
                << expected_budget(fuzz_case_.config).value()
                << " W budget over " << seconds << " s + "
-               << options_.budget_envelope_slack * 100.0 << "% slack)";
+               << kBudgetEnvelopeSlack * 100.0 << "% slack)";
         flag("budget_envelope", scheme, detail.str());
       }
     }
 
     // Schemes throttle and deny; they must not conjure energy. The
-    // bound is a loose multiple (see OracleOptions) and only applies
+    // bound is a loose multiple (kAdmittedEnergyMultiple) and only applies
     // without a breaker: a reference run that trips dark consumes
     // arbitrarily little.
     if (!scheme_config.breaker.has_value()) {
       const Joules limit =
           reference.result.energy.load_total() *
-              options_.admitted_energy_multiple +
+              kAdmittedEnergyMultiple +
           Joules{1.0};
       if (!loosely_le(r.energy.load_total().value(), limit.value(),
                       limit.value())) {
         detail << "load energy " << r.energy.load_total().value()
                << " J vs uncapped reference "
                << reference.result.energy.load_total().value() << " J (x"
-               << options_.admitted_energy_multiple << " allowed)";
+               << kAdmittedEnergyMultiple << " allowed)";
         flag("admitted_energy", scheme, detail.str());
       }
 
@@ -300,7 +311,7 @@ class Judge {
         for (std::size_t z = 0; z < r.zones.size(); ++z) {
           const Joules zone_limit =
               reference.result.zones[z].load_energy *
-                  options_.admitted_energy_multiple +
+                  kAdmittedEnergyMultiple +
               Joules{1.0};
           if (!loosely_le(r.zones[z].load_energy.value(),
                           zone_limit.value(), zone_limit.value())) {
@@ -308,7 +319,7 @@ class Judge {
                    << r.zones[z].load_energy.value()
                    << " J vs uncapped reference "
                    << reference.result.zones[z].load_energy.value()
-                   << " J (x" << options_.admitted_energy_multiple
+                   << " J (x" << kAdmittedEnergyMultiple
                    << " allowed)";
             flag("zone_admitted_energy", scheme, detail.str());
             break;
@@ -369,7 +380,6 @@ class Judge {
 
  private:
   const FuzzCase& fuzz_case_;
-  const OracleOptions& options_;
   OracleReport& report_;
 };
 
@@ -394,7 +404,7 @@ std::string OracleReport::summary() const {
 OracleReport run_oracle(const FuzzCase& fuzz_case,
                         const OracleOptions& options) {
   OracleReport report;
-  Judge judge(fuzz_case, options, report);
+  Judge judge(fuzz_case, report);
 
   // Reference: the uncapped cluster. Never mutated — it anchors the
   // differential checks.

@@ -47,14 +47,6 @@ struct OracleOptions {
   /// Re-run the scheme under test and demand bit-identical headline
   /// metrics (catches hidden global/static state).
   bool check_determinism = true;
-  /// Relative slack on the utility-energy budget envelope (covers
-  /// sub-slot reaction transients).
-  double budget_envelope_slack = 0.10;
-  /// A managed scheme may consume at most this multiple of the uncapped
-  /// reference's load energy (DVFS throttling inflates per-request
-  /// energy for frequency-insensitive types, so the bound is loose —
-  /// it exists to catch double-counting, not to be tight).
-  double admitted_energy_multiple = 1.6;
   /// Test-only bug-injection hook: mutates the materialized config of
   /// every *scheme-under-test* run (never the `kNone` reference) just
   /// before execution. This is how the test suite proves the oracle

@@ -9,6 +9,10 @@ namespace dope::fuzz {
 
 namespace {
 
+/// Hard cap on candidate oracle executions (each candidate costs at least
+/// two scenario runs).
+constexpr std::size_t kMaxAttempts = 128;
+
 /// Re-establishes cross-field validity after a reduction (events inside
 /// the window, outages on existing servers). Every pass runs this, so
 /// passes stay single-purpose.
@@ -183,13 +187,13 @@ ShrinkResult shrink(const FuzzCase& failing, const OracleReport& original,
   // Round-robin the passes to a fixpoint: a round that accepts nothing
   // (every pass either exhausted or rejected) terminates the search.
   bool progressed = true;
-  while (progressed && result.attempts < options.max_attempts) {
+  while (progressed && result.attempts < kMaxAttempts) {
     progressed = false;
     for (const Pass& pass : kPasses) {
-      if (result.attempts >= options.max_attempts) break;
+      if (result.attempts >= kMaxAttempts) break;
       // Greedily re-apply one pass while it keeps paying off (e.g.
       // halve the duration all the way down to its floor).
-      while (result.attempts < options.max_attempts) {
+      while (result.attempts < kMaxAttempts) {
         FuzzCase candidate = result.minimized;
         if (!pass.apply(candidate.config)) break;
         normalize(candidate.config);

@@ -22,9 +22,6 @@
 namespace dope::fuzz {
 
 struct ShrinkOptions {
-  /// Hard cap on candidate oracle executions (each candidate costs at
-  /// least two scenario runs).
-  std::size_t max_attempts = 128;
   /// Oracle configuration, forwarded to every candidate re-judgement
   /// (including any test-only `mutate` bug injection — the shrunk case
   /// must fail for the same reason the original did).

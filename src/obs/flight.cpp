@@ -17,6 +17,21 @@ namespace dope::obs {
 
 namespace {
 
+/// Trace events snapshotted into each incident (the tail ending at the
+/// trigger).
+constexpr std::size_t kTraceTail = 64;
+/// Open spans listed per incident (the full open count is always
+/// reported).
+constexpr std::size_t kOpenSpanCap = 32;
+/// Suspect ranking depth in the forensics section.
+constexpr std::size_t kForensicsTopK = 5;
+/// SLO objective applied per URL class: a request breaches when its
+/// latency exceeds this or it did not complete.
+constexpr double kSloLatencyMs = 250.0;
+/// Error budget (allowed breach fraction) the burn rate is measured
+/// against: burn 1.0 = breaching exactly at budget.
+constexpr double kSloErrorBudget = 0.01;
+
 /// Deterministic short rendering for detail strings.
 std::string format_value(double v) {
   char buf[32];
@@ -55,11 +70,10 @@ double sorted_percentile(const std::vector<double>& sorted, double p) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightConfig config,
-                               const TimeSeriesStore* store,
+FlightRecorder::FlightRecorder(const TimeSeriesStore* store,
                                const TraceRecorder* trace,
                                const SpanTracer* spans)
-    : config_(config), store_(store), trace_(trace), spans_(spans) {}
+    : store_(store), trace_(trace), spans_(spans) {}
 
 void FlightRecorder::set_run_context(FlightRunContext context) {
   context_ = std::move(context);
@@ -73,7 +87,6 @@ void FlightRecorder::set_suspect_classes(
 void FlightRecorder::on_trace_event(const TraceEvent& e) {
   switch (e.type) {
     case EventType::kBreakerTrip: {
-      if (!config_.on_breaker_trip) return;
       double zone = -1.0;
       find_num(e, "zone", &zone);
       double utility = 0.0;
@@ -88,7 +101,6 @@ void FlightRecorder::on_trace_event(const TraceEvent& e) {
       return;
     }
     case EventType::kBudgetViolation: {
-      if (!config_.on_budget_violation) return;
       double zone = -1.0;
       find_num(e, "zone", &zone);
       const int z = static_cast<int>(zone);
@@ -108,7 +120,6 @@ void FlightRecorder::on_trace_event(const TraceEvent& e) {
       return;
     }
     case EventType::kAlertRaised: {
-      if (!config_.on_alert_raised) return;
       double zone = -1.0;
       find_num(e, "zone", &zone);
       capture(e.t, "AlertRaised", find_str(e, "rule"),
@@ -122,7 +133,6 @@ void FlightRecorder::on_trace_event(const TraceEvent& e) {
 
 void FlightRecorder::on_audit_failure(Time t, std::string_view check,
                                       std::string_view message) {
-  if (!config_.on_audit_failure) return;
   std::string detail(check);
   if (!message.empty()) {
     detail += ": ";
@@ -144,7 +154,7 @@ void FlightRecorder::capture(Time t, const char* trigger,
   }
   last_capture_slot_ = slot_idx;
   ++triggers_;
-  if (incidents_.size() >= config_.max_incidents) {
+  if (incidents_.size() >= kMaxIncidents) {
     ++dropped_;
     return;
   }
@@ -169,7 +179,7 @@ void FlightRecorder::capture(Time t, const char* trigger,
   out << ",\n      \"trace_tail\": [";
   if (trace_ != nullptr) {
     const auto& events = trace_->events();
-    const std::size_t n = std::min(config_.trace_tail, events.size());
+    const std::size_t n = std::min(kTraceTail, events.size());
     for (std::size_t k = events.size() - n; k < events.size(); ++k) {
       if (k > events.size() - n) out << ',';
       out << "\n        ";
@@ -186,7 +196,7 @@ void FlightRecorder::capture(Time t, const char* trigger,
     for (const Span& span : spans_->spans()) {
       if (!span.open()) continue;
       ++open_total;
-      if (listed >= config_.open_span_cap) continue;
+      if (listed >= kOpenSpanCap) continue;
       if (listed > 0) out << ',';
       out << "\n        ";
       write_span_begin_jsonl(out, span);
@@ -204,7 +214,7 @@ void FlightRecorder::capture(Time t, const char* trigger,
     out << ", \"violation_events\": " << forensics.violation_events()
         << ", \"suspects\": [";
     const std::vector<SourceStats> top =
-        forensics.top_by_joules(config_.forensics_top_k);
+        forensics.top_by_joules(kForensicsTopK);
     for (std::size_t i = 0; i < top.size(); ++i) {
       const SourceStats& s = top[i];
       if (i > 0) out << ',';
@@ -255,12 +265,12 @@ void FlightRecorder::write_slo_json(std::ostream& out) const {
     const double lat_ms =
         static_cast<double>(span.end - span.begin) / 1000.0;
     c.lat_ms.push_back(lat_ms);
-    if (!completed || lat_ms > config_.slo_latency_ms) ++c.breaches;
+    if (!completed || lat_ms > kSloLatencyMs) ++c.breaches;
   }
   out << "{\"objective_ms\": ";
-  write_json_number(out, config_.slo_latency_ms);
+  write_json_number(out, kSloLatencyMs);
   out << ", \"error_budget\": ";
-  write_json_number(out, config_.slo_error_budget);
+  write_json_number(out, kSloErrorBudget);
   out << ", \"classes\": [";
   bool first = true;
   for (auto& [url_class, c] : classes) {
@@ -270,9 +280,7 @@ void FlightRecorder::write_slo_json(std::ostream& out) const {
     const double requests = static_cast<double>(c.requests);
     const double breach_rate =
         c.requests ? static_cast<double>(c.breaches) / requests : 0.0;
-    const double burn = config_.slo_error_budget > 0.0
-                            ? breach_rate / config_.slo_error_budget
-                            : 0.0;
+    const double burn = breach_rate / kSloErrorBudget;
     out << "\n    {\"url_class\": " << url_class
         << ", \"requests\": " << c.requests
         << ", \"completed\": " << c.completed
@@ -317,7 +325,7 @@ void FlightRecorder::write_json(std::ostream& out) const {
   if (dropped_ > 0) {
     if (!incidents_.empty()) out << ',';
     out << "\n    {\"type\": \"IncidentTruncated\", \"dropped\": "
-        << dropped_ << ", \"cap\": " << config_.max_incidents << '}';
+        << dropped_ << ", \"cap\": " << kMaxIncidents << '}';
   }
   if (!incidents_.empty() || dropped_ > 0) out << "\n  ";
   out << "]\n}\n";

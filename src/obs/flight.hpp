@@ -20,7 +20,7 @@
 // seed — never wall clock — so the same scenario produces a
 // byte-identical bundle on every run and thread count. Triggers are
 // deduplicated per management slot (two triggers in one slot produce
-// one incident), and captures past `max_incidents` are counted and
+// one incident), and captures past `kMaxIncidents` are counted and
 // reported via an `IncidentTruncated` trailer, mirroring `--trace-cap`.
 #pragma once
 
@@ -38,30 +38,9 @@
 
 namespace dope::obs {
 
-struct FlightConfig {
-  /// Incident bundles retained per run; further triggers are counted
-  /// and surfaced through the IncidentTruncated trailer.
-  std::size_t max_incidents = 8;
-  /// Trace events snapshotted into each incident (the tail ending at
-  /// the trigger).
-  std::size_t trace_tail = 64;
-  /// Open spans listed per incident (the full open count is always
-  /// reported).
-  std::size_t open_span_cap = 32;
-  /// Suspect ranking depth in the forensics section.
-  std::size_t forensics_top_k = 5;
-  /// Trigger toggles.
-  bool on_breaker_trip = true;
-  bool on_budget_violation = true;
-  bool on_alert_raised = true;
-  bool on_audit_failure = true;
-  /// SLO objective applied per URL class: a request breaches when its
-  /// latency exceeds this or it did not complete.
-  double slo_latency_ms = 250.0;
-  /// Error budget (allowed breach fraction) the burn rate is measured
-  /// against: burn 1.0 = breaching exactly at budget.
-  double slo_error_budget = 0.01;
-};
+/// Incident bundles retained per run; further triggers are counted and
+/// surfaced through the IncidentTruncated trailer.
+inline constexpr std::size_t kMaxIncidents = 8;
 
 /// Identity of the run a bundle belongs to; serialized into the
 /// envelope so a bundle is self-describing.
@@ -82,8 +61,8 @@ class FlightRecorder {
   /// `store` may be null (series section is empty), `spans` may be null
   /// (forensics/SLO sections are null). `trace` must outlive the
   /// recorder.
-  FlightRecorder(FlightConfig config, const TimeSeriesStore* store,
-                 const TraceRecorder* trace, const SpanTracer* spans);
+  FlightRecorder(const TimeSeriesStore* store, const TraceRecorder* trace,
+                 const SpanTracer* spans);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -109,7 +88,7 @@ class FlightRecorder {
   std::uint64_t triggers() const { return triggers_; }
   /// Triggers folded into an existing same-slot incident.
   std::uint64_t deduped() const { return deduped_; }
-  /// Incidents dropped over `max_incidents`.
+  /// Incidents dropped over `kMaxIncidents`.
   std::uint64_t dropped() const { return dropped_; }
 
   /// The bundle: schema envelope + run context + run-level SLO section
@@ -122,7 +101,6 @@ class FlightRecorder {
                int zone);
   void write_slo_json(std::ostream& out) const;
 
-  FlightConfig config_;
   const TimeSeriesStore* store_;
   const TraceRecorder* trace_;
   const SpanTracer* spans_;

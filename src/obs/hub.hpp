@@ -17,10 +17,11 @@
 //
 // Thread-safety analysis (common/thread_annotations.hpp): the Hub
 // carries no capability annotations because it owns no locks — its
-// contract is single-owner-per-run. The one place a Hub is touched from
-// multiple threads, the sweep worker pool, routes every instrument
-// access through sweep.cpp's ProgressBoard, whose PT_GUARDED_BY members
-// make the clang -Wthread-safety lane prove the serialization.
+// contract is single-owner-per-run. The places a Hub is touched from
+// multiple threads, the sweep and fuzz worker pools, route every
+// instrument access through a ProgressBoard (sweep.cpp, fuzzer.cpp),
+// whose PT_GUARDED_BY members make the clang -Wthread-safety lane prove
+// the serialization.
 #pragma once
 
 #include <iosfwd>
@@ -41,15 +42,12 @@ struct HubConfig {
   /// Request-lifecycle span tracing; off by default (spans are the one
   /// pillar with per-request cost even when nobody exports them).
   bool enable_spans = false;
-  SpanConfig spans{};
   /// Per-slot time-series rings; off by default (per-slot cost).
   bool enable_timeseries = false;
-  TimeSeriesConfig timeseries{};
   /// Flight recorder (incident bundles); off by default. Usually
   /// enabled together with timeseries + spans so bundles carry the
   /// pre-trigger history and attribution sections.
   bool enable_flight = false;
-  FlightConfig flight{};
 };
 
 class Hub {
@@ -57,14 +55,14 @@ class Hub {
   explicit Hub(HubConfig config = {})
       : trace_(config.trace), watchdog_(&trace_) {
     if (config.enable_spans) {
-      spans_ = std::make_unique<SpanTracer>(config.spans);
+      spans_ = std::make_unique<SpanTracer>();
     }
     if (config.enable_timeseries) {
-      timeseries_ = std::make_unique<TimeSeriesStore>(config.timeseries);
+      timeseries_ = std::make_unique<TimeSeriesStore>();
     }
     if (config.enable_flight) {
-      flight_ = std::make_unique<FlightRecorder>(
-          config.flight, timeseries_.get(), &trace_, spans_.get());
+      flight_ = std::make_unique<FlightRecorder>(timeseries_.get(), &trace_,
+                                                 spans_.get());
       // Tap the recorder, not Hub::event: the watchdog (and anything
       // else holding a TraceRecorder*) records directly, and triggers
       // must fire for those events too.

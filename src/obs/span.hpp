@@ -110,7 +110,6 @@ class SpanTracer {
     return counts_[static_cast<std::size_t>(kind)];
   }
   std::size_t max_spans() const { return config_.max_spans; }
-  void set_max_spans(std::size_t cap) { config_.max_spans = cap; }
 
   /// One `SpanBegin`/`SpanEnd` JSONL record pair per span, time-ordered
   /// (stand-alone export; `Hub::write_trace_jsonl` merges spans with the

@@ -8,15 +8,7 @@
 
 namespace dope::obs {
 
-Series::Series(std::string name, const TimeSeriesConfig& config)
-    : name_(std::move(name)) {
-  raw_.capacity = config.raw_capacity;
-  tier1_.capacity = config.tier1_capacity;
-  tier2_.capacity = config.tier2_capacity;
-  raw_.buf.reserve(raw_.capacity);
-  tier1_.buf.reserve(tier1_.capacity);
-  tier2_.buf.reserve(tier2_.capacity);
-}
+Series::Series(std::string name) : name_(std::move(name)) {}
 
 void Series::fold(TierBucket& bucket, const RawSample& s) {
   if (bucket.count == 0) {
@@ -109,14 +101,11 @@ void Series::write_json(std::ostream& out) const {
   out << '}';
 }
 
-TimeSeriesStore::TimeSeriesStore(TimeSeriesConfig config)
-    : config_(config) {}
-
 Series& TimeSeriesStore::series(std::string_view name) {
   const auto it = index_.find(std::string(name));
   if (it != index_.end()) return *series_[it->second];
   index_.emplace(std::string(name), series_.size());
-  series_.push_back(std::make_unique<Series>(std::string(name), config_));
+  series_.push_back(std::make_unique<Series>(std::string(name)));
   return *series_.back();
 }
 

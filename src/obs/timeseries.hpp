@@ -7,7 +7,7 @@
 // battery SoC, queue depth, firewall bans, attack rate, ...) lands in a
 // ring of raw samples plus two tiers of downsampled aggregates —
 //
-//   raw      last `raw_capacity` samples, full resolution
+//   raw      last `kRawCapacity` samples, full resolution
 //   tier10   min/mean/max over every 10 raw samples
 //   tier100  min/mean/max over every 100 raw samples
 //
@@ -37,15 +37,13 @@ namespace dope::obs {
 inline constexpr std::size_t kTier1FanIn = 10;
 inline constexpr std::size_t kTier2FanIn = 100;
 
-struct TimeSeriesConfig {
-  /// Raw ring length, in samples (slots). 600 one-second slots = ten
-  /// minutes of full-resolution history.
-  std::size_t raw_capacity = 600;
-  /// Tier-1 ring length, in buckets of kTier1FanIn raw samples.
-  std::size_t tier1_capacity = 360;
-  /// Tier-2 ring length, in buckets of kTier2FanIn raw samples.
-  std::size_t tier2_capacity = 360;
-};
+/// Raw ring length, in samples (slots). 600 one-second slots = ten
+/// minutes of full-resolution history.
+inline constexpr std::size_t kRawCapacity = 600;
+/// Tier-1 and tier-2 ring lengths, in buckets of kTier1FanIn /
+/// kTier2FanIn raw samples.
+inline constexpr std::size_t kTier1Capacity = 360;
+inline constexpr std::size_t kTier2Capacity = 360;
 
 /// One full-resolution sample. `index` is the sample's position in the
 /// series since the start of the run (monotone, survives ring
@@ -77,7 +75,7 @@ struct TierBucket {
 /// reconciliation in incident bundles depends on them).
 class Series {
  public:
-  Series(std::string name, const TimeSeriesConfig& config);
+  explicit Series(std::string name);
 
   Series(const Series&) = delete;
   Series& operator=(const Series&) = delete;
@@ -104,21 +102,19 @@ class Series {
   void write_json(std::ostream& out) const;
 
  private:
-  template <typename T>
+  template <typename T, std::size_t Capacity>
   struct Ring {
     std::vector<T> buf;
-    std::size_t capacity = 0;
     std::size_t head = 0;  // index of the oldest element once full
 
+    Ring() { buf.reserve(Capacity); }
+
     void push(const T& item) {
-      // dope-lint: allow(float-eq) — ring slot count, an integer, not
-      // a battery capacity measurement.
-      if (capacity == 0) return;
-      if (buf.size() < capacity) {
+      if (buf.size() < Capacity) {
         buf.push_back(item);
       } else {
         buf[head] = item;
-        head = (head + 1) % capacity;
+        head = (head + 1) % Capacity;
       }
     }
     std::vector<T> ordered() const {
@@ -134,9 +130,9 @@ class Series {
   static void fold(TierBucket& bucket, const RawSample& s);
 
   std::string name_;
-  Ring<RawSample> raw_;
-  Ring<TierBucket> tier1_;
-  Ring<TierBucket> tier2_;
+  Ring<RawSample, kRawCapacity> raw_;
+  Ring<TierBucket, kTier1Capacity> tier1_;
+  Ring<TierBucket, kTier2Capacity> tier2_;
   TierBucket tier1_accum_;
   TierBucket tier2_accum_;
   std::uint64_t total_ = 0;
@@ -150,7 +146,7 @@ class Series {
 /// `Registry`.
 class TimeSeriesStore {
  public:
-  explicit TimeSeriesStore(TimeSeriesConfig config = {});
+  TimeSeriesStore() = default;
 
   TimeSeriesStore(const TimeSeriesStore&) = delete;
   TimeSeriesStore& operator=(const TimeSeriesStore&) = delete;
@@ -169,7 +165,6 @@ class TimeSeriesStore {
   void write_json(std::ostream& out) const;
 
  private:
-  TimeSeriesConfig config_;
   std::vector<std::unique_ptr<Series>> series_;  // creation order
   /// Name -> index. Lookup only — never iterated, so hash order cannot
   /// leak into any output.

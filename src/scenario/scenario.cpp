@@ -191,9 +191,10 @@ Run::Run(const ScenarioConfig& config, RunHooks hooks)
     engine_.schedule_at(outage.at, [cl, idx] {
       cl->server(idx).power_off();
     });
-    const Duration reboot = cl->config().reboot_time;
-    engine_.schedule_at(outage.at + outage.down, [cl, idx, reboot] {
-      if (!cl->power().in_outage()) cl->server(idx).power_on(reboot);
+    engine_.schedule_at(outage.at + outage.down, [cl, idx] {
+      if (!cl->power().in_outage()) {
+        cl->server(idx).power_on(cluster::kRebootTime);
+      }
     });
   }
 
@@ -361,8 +362,7 @@ ScenarioResult Run::summary() {
       result.battery_discharged += zone.battery()->total_discharged();
     }
     const auto& stats = zone.slot_stats();
-    result.slot_stats.slots =
-        std::max(result.slot_stats.slots, stats.slots);
+    result.slot_stats.slots += stats.slots;
     result.slot_stats.violation_slots += stats.violation_slots;
     result.slot_stats.utility_violation_slots +=
         stats.utility_violation_slots;

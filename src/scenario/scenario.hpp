@@ -207,6 +207,10 @@ struct ScenarioResult {
 
   // Energy and enforcement.
   metrics::EnergyAccount energy;
+  /// Summed over zones, so every count is in zone-slots (and downtime in
+  /// zone-time): with N zones `slots` is N times each zone's own slot
+  /// count, since all zones share `config.slot`. `worst_overshoot` is
+  /// the maximum over zones.
   cluster::SlotStats slot_stats;
 
   // DVFS: mean applied frequency over servers at run end, and the

@@ -6,13 +6,14 @@
 
 namespace dope::schemes {
 
-// ---------------------------------------------------------------- Capping
+namespace {
 
-CappingScheme::CappingScheme(double headroom_margin)
-    : headroom_margin_(headroom_margin), target_(0) {
-  DOPE_REQUIRE(headroom_margin >= 0.0 && headroom_margin < 1.0,
-               "headroom margin must be in [0, 1)");
-}
+/// Token bucket capacity, in seconds of refill.
+constexpr double kBurstSeconds = 1.0;
+
+}  // namespace
+
+// ---------------------------------------------------------------- Capping
 
 void CappingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
@@ -51,7 +52,7 @@ void CappingScheme::on_slot(Time now, Duration slot) {
   if (target_ < ladder.max_level()) {
     const power::DvfsLevel next = target_ + 1;
     const Watts projected = estimate_power_at_uniform(nodes, next);
-    if (projected <= budget * (1.0 - headroom_margin_)) {
+    if (projected <= budget * (1.0 - kRaiseHeadroom)) {
       target_ = next;
       request_uniform_level(nodes, target_);
     }
@@ -59,12 +60,6 @@ void CappingScheme::on_slot(Time now, Duration slot) {
 }
 
 // ---------------------------------------------------------------- Shaving
-
-ShavingScheme::ShavingScheme(double headroom_margin)
-    : headroom_margin_(headroom_margin), target_(0) {
-  DOPE_REQUIRE(headroom_margin >= 0.0 && headroom_margin < 1.0,
-               "headroom margin must be in [0, 1)");
-}
 
 void ShavingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
@@ -110,7 +105,7 @@ void ShavingScheme::on_slot(Time now, Duration slot) {
   if (target_ < ladder.max_level()) {
     const power::DvfsLevel next = target_ + 1;
     const Watts projected = estimate_power_at_uniform(nodes, next);
-    if (projected <= budget * (1.0 - headroom_margin_)) {
+    if (projected <= budget * (1.0 - kRaiseHeadroom)) {
       target_ = next;
       request_uniform_level(nodes, target_);
       headroom = std::max(Watts{0.0}, budget - projected);
@@ -123,11 +118,6 @@ void ShavingScheme::on_slot(Time now, Duration slot) {
 
 // ------------------------------------------------------------------ Token
 
-TokenScheme::TokenScheme(double burst_seconds)
-    : burst_seconds_(burst_seconds) {
-  DOPE_REQUIRE(burst_seconds > 0, "burst window must be positive");
-}
-
 void TokenScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
   // Usable power for request work: budget minus what the cluster burns
@@ -138,7 +128,7 @@ void TokenScheme::attach(cluster::Cluster& cluster) {
   }
   base_refill_ = std::max(Watts{1.0}, cluster.power().budget() - idle_floor);
   bucket_ = std::make_unique<net::EnergyTokenBucket>(
-      Joules{base_refill_.value() * burst_seconds_}, base_refill_);
+      Joules{base_refill_.value() * kBurstSeconds}, base_refill_);
 }
 
 void TokenScheme::detach() {

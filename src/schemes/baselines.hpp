@@ -37,26 +37,19 @@ class NoScheme final : public cluster::ControlStage {
 /// DVFS-only capping of the whole cluster.
 class CappingScheme final : public cluster::ControlStage {
  public:
-  /// `headroom_margin`: fraction of the budget that must remain free for a
-  /// frequency raise to be attempted (hysteresis against oscillation).
-  explicit CappingScheme(double headroom_margin = 0.02);
-
   std::string name() const override { return "Capping"; }
   void attach(cluster::Cluster& cluster) override;
   void detach() override;
   void on_slot(Time now, Duration slot) override;
 
  private:
-  double headroom_margin_;
-  power::DvfsLevel target_;
+  power::DvfsLevel target_ = 0;
   bool attached_ = false;
 };
 
 /// Battery-first peak shaving with DVFS fallback.
 class ShavingScheme final : public cluster::ControlStage {
  public:
-  explicit ShavingScheme(double headroom_margin = 0.02);
-
   std::string name() const override { return "Shaving"; }
   void attach(cluster::Cluster& cluster) override;
   void on_slot(Time now, Duration slot) override;
@@ -65,17 +58,13 @@ class ShavingScheme final : public cluster::ControlStage {
   Watts last_battery_power() const { return last_battery_power_; }
 
  private:
-  double headroom_margin_;
-  power::DvfsLevel target_;
+  power::DvfsLevel target_ = 0;
   Watts last_battery_power_{0.0};
 };
 
 /// Power-based token-bucket admission control at the NLB.
 class TokenScheme final : public cluster::ControlStage {
  public:
-  /// `burst_seconds`: bucket capacity expressed as seconds of refill.
-  explicit TokenScheme(double burst_seconds = 1.0);
-
   std::string name() const override { return "Token"; }
   void attach(cluster::Cluster& cluster) override;
   void detach() override;
@@ -88,7 +77,6 @@ class TokenScheme final : public cluster::ControlStage {
   /// Estimated energy (joules) one request costs at full frequency.
   Joules request_cost(const workload::Request& request) const;
 
-  double burst_seconds_;
   std::unique_ptr<net::EnergyTokenBucket> bucket_;
   /// Usable refill (budget minus the cluster idle floor).
   Watts base_refill_{0.0};

@@ -3,22 +3,24 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/expect.hpp"
 #include "obs/hub.hpp"
 
 namespace dope::schemes {
 
+namespace {
+
+/// Fraction of a rack's allowance that must stay free before the rack's
+/// frequency is raised one step.
+constexpr double kHeadroomMargin = 0.05;
+/// Consecutive clean slots a rack must show before that raise (prevents
+/// the raise/violate limit cycle under a saturating load).
+constexpr unsigned kRecoveryDebounce = 5;
+
+}  // namespace
+
 HierarchicalCappingScheme::HierarchicalCappingScheme(
-    power::PowerTopology topology, double headroom_margin,
-    unsigned recovery_debounce)
-    : topology_(std::move(topology)),
-      headroom_margin_(headroom_margin),
-      recovery_debounce_(recovery_debounce) {
-  DOPE_REQUIRE(headroom_margin >= 0.0 && headroom_margin < 1.0,
-               "headroom margin must be in [0, 1)");
-  DOPE_REQUIRE(recovery_debounce >= 1,
-               "debounce must be at least one slot");
-}
+    power::PowerTopology topology)
+    : topology_(std::move(topology)) {}
 
 void HierarchicalCappingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
@@ -114,11 +116,11 @@ void HierarchicalCappingScheme::on_slot(Time now, Duration slot) {
     // after a debounced streak of clean slots.
     ++rack_clean_slots_[p];
     if (rack_target_[p] < ladder.max_level() &&
-        rack_clean_slots_[p] >= recovery_debounce_) {
+        rack_clean_slots_[p] >= kRecoveryDebounce) {
       const auto next = rack_target_[p] + 1;
       const Watts projected =
           estimate_power_at_uniform(rack_nodes_[p], next);
-      if (projected <= allowance * (1.0 - headroom_margin_)) {
+      if (projected <= allowance * (1.0 - kHeadroomMargin)) {
         rack_target_[p] = next;
         request_uniform_level(rack_nodes_[p], rack_target_[p]);
         rack_clean_slots_[p] = 0;

@@ -27,12 +27,8 @@ namespace dope::schemes {
 class HierarchicalCappingScheme final : public cluster::ControlStage {
  public:
   /// The topology must cover exactly the cluster's servers (validated at
-  /// attach time). `recovery_debounce`: consecutive clean slots a rack
-  /// must show before its frequency is raised one step (prevents the
-  /// raise/violate limit cycle under a saturating load).
-  explicit HierarchicalCappingScheme(power::PowerTopology topology,
-                                     double headroom_margin = 0.05,
-                                     unsigned recovery_debounce = 5);
+  /// attach time).
+  explicit HierarchicalCappingScheme(power::PowerTopology topology);
 
   std::string name() const override { return "Hier-Capping"; }
   void attach(cluster::Cluster& cluster) override;
@@ -49,8 +45,6 @@ class HierarchicalCappingScheme final : public cluster::ControlStage {
 
  private:
   power::PowerTopology topology_;
-  double headroom_margin_;
-  unsigned recovery_debounce_;
   /// Per-PDU node groups and their current uniform target levels.
   std::vector<std::vector<server::ServerNode*>> rack_nodes_;
   std::vector<power::DvfsLevel> rack_target_;

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/expect.hpp"
-
 namespace dope::schemes {
 
-RaplCappingScheme::RaplCappingScheme(double release_margin)
-    : release_margin_(release_margin) {
-  DOPE_REQUIRE(release_margin > 0.0 && release_margin <= 1.0,
-               "release margin must be in (0, 1]");
-}
+namespace {
+
+/// Caps are lifted when demand falls below this fraction of the budget
+/// (hysteresis).
+constexpr double kReleaseMargin = 0.95;
+
+}  // namespace
 
 void RaplCappingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
@@ -65,7 +65,7 @@ void RaplCappingScheme::on_slot(Time now, Duration slot) {
     }
     return;
   }
-  if (capping_ && demand <= release_margin_ * budget) {
+  if (capping_ && demand <= kReleaseMargin * budget) {
     capping_ = false;
     for (auto& rapl : rapl_) rapl->clear_cap();
   } else if (capping_) {

@@ -19,10 +19,6 @@ namespace dope::schemes {
 /// Demand-proportional per-node power capping.
 class RaplCappingScheme final : public cluster::ControlStage {
  public:
-  /// `release_margin`: caps are lifted when demand falls below this
-  /// fraction of the budget (hysteresis).
-  explicit RaplCappingScheme(double release_margin = 0.95);
-
   std::string name() const override { return "RAPL-Capping"; }
   void attach(cluster::Cluster& cluster) override;
   void detach() override;
@@ -32,7 +28,6 @@ class RaplCappingScheme final : public cluster::ControlStage {
   bool capping() const { return capping_; }
 
  private:
-  double release_margin_;
   std::vector<std::unique_ptr<server::RaplInterface>> rapl_;
   bool capping_ = false;
 };

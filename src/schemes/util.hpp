@@ -9,6 +9,11 @@
 
 namespace dope::schemes {
 
+/// Fraction of the budget that must stay free before a scheme raises a
+/// frequency by one step (hysteresis against oscillation). Capping,
+/// Shaving and both Anti-DOPE variants use it.
+inline constexpr double kRaiseHeadroom = 0.02;
+
 /// Estimated aggregate power if every server in `nodes` ran at `level`
 /// with its *current* active request set.
 Watts estimate_power_at_uniform(const std::vector<server::ServerNode*>& nodes,

@@ -10,6 +10,13 @@
 
 namespace dope::server {
 
+namespace {
+
+/// Time to wake from the parked (deep sleep) state to serving.
+constexpr Duration kWakeLatency = 2 * kSecond;
+
+}  // namespace
+
 ServerNode::ServerNode(sim::Engine& engine, int id,
                        const workload::Catalog& catalog,
                        power::ServerPowerModel model, ServerConfig config,
@@ -254,11 +261,10 @@ void ServerNode::unpark() {
   parked_ = false;
   waking_ = true;
   current_power_ = model_.idle_power(level_);
-  wake_event_ = engine_.schedule_after(
-      std::max<Duration>(config_.wake_latency, 0), [this] {
-        waking_ = false;
-        refresh_power();
-      });
+  wake_event_ = engine_.schedule_after(kWakeLatency, [this] {
+    waking_ = false;
+    refresh_power();
+  });
 }
 
 void ServerNode::power_off() {

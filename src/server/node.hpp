@@ -42,8 +42,6 @@ struct ServerConfig {
   Duration queue_deadline = 4 * kSecond;
   /// Delay between a DVFS level request and it taking effect.
   Duration dvfs_latency = millis(20.0);
-  /// Time to wake from the parked (deep sleep) state to serving.
-  Duration wake_latency = 2 * kSecond;
 };
 
 /// Running counters exposed for tests and metrics.

@@ -186,12 +186,13 @@ struct AntiDopeRig {
 
   explicit AntiDopeRig(power::BudgetLevel level = power::BudgetLevel::kLow,
                        AntiDopeConfig config = {},
-                       Watts budget_override = Watts{0.0}) {
+                       Watts budget_override = Watts{0.0},
+                       Duration battery_runtime = 2 * kMinute) {
     cluster::ClusterConfig cc;
     cc.num_servers = 8;
     cc.budget_level = level;
     cc.budget_override = budget_override;
-    cc.battery_runtime = 2 * kMinute;
+    cc.battery_runtime = battery_runtime;
     cluster = std::make_unique<cluster::Cluster>(engine, catalog, cc);
     auto s = std::make_unique<AntiDopeScheme>(config);
     scheme = s.get();
@@ -319,15 +320,16 @@ TEST(AntiDope, RecoversFullSpeedAfterAttack) {
 }
 
 TEST(AntiDope, NoBatteryConfigurationStillEnforces) {
-  AntiDopeConfig config;
-  config.use_battery = false;
-  AntiDopeRig rig(power::BudgetLevel::kLow, config,
-                  /*budget_override=*/Watts{420.0});
+  // A cluster without a battery: DVFS alone must hold the budget.
+  AntiDopeRig rig(power::BudgetLevel::kLow, {},
+                  /*budget_override=*/Watts{420.0}, /*battery_runtime=*/0);
+  ASSERT_EQ(rig.cluster->battery(), nullptr);
   rig.start_traffic(300.0, 500.0, Catalog::kCollaFilt);
   rig.cluster->run_for(60 * kSecond);
   EXPECT_LE(rig.cluster->power().last_slot_demand(),
             rig.cluster->budget() * 1.10);
-  EXPECT_DOUBLE_EQ(rig.cluster->battery()->total_discharged().value(), 0.0);
+  EXPECT_DOUBLE_EQ(rig.scheme->last_battery_power().value(), 0.0);
+  EXPECT_DOUBLE_EQ(rig.cluster->energy_account().battery.value(), 0.0);
 }
 
 TEST(AntiDope, ValidatesConfig) {

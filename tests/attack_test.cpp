@@ -126,7 +126,6 @@ TEST(DopeAttacker, FewAgentsGetDetectedAndBackOff) {
   // the ramp; the attacker must observe blocking and back off.
   DopeAttackerConfig config = AttackRig::default_config();
   config.num_agents = 2;
-  config.max_rate_rps = 4'000.0;
   AttackRig rig(power::BudgetLevel::kLow, /*with_firewall=*/true, config);
   rig.engine.run_until(10 * kMinute);
   EXPECT_GT(rig.cluster->data().firewall()->total_bans(), 0u);
@@ -164,11 +163,6 @@ TEST(DopeAttacker, ValidatesConfig) {
   sim::Engine engine;
   const auto catalog = Catalog::standard();
   DopeAttackerConfig config;  // empty mixture
-  EXPECT_THROW(
-      DopeAttacker(engine, catalog, config, [](workload::Request&&) {}),
-      std::invalid_argument);
-  config.mixture = workload::Mixture::single(Catalog::kKMeans);
-  config.ramp_factor = 1.0;
   EXPECT_THROW(
       DopeAttacker(engine, catalog, config, [](workload::Request&&) {}),
       std::invalid_argument);

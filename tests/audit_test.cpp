@@ -149,7 +149,7 @@ TEST_F(AuditTest, HealthyBatteryPathIsSilent) {
       battery::BatterySpec::sized_for(Watts{1000.0}, 2 * kMinute));
   // Over-rate and over-capacity requests are legal: the battery clamps.
   battery.discharge(Watts{5000.0}, kSecond);
-  battery.discharge(Watts{1000.0}, 10 * kMinute, /*emergency=*/true);
+  battery.discharge(Watts{1000.0}, 10 * kMinute);
   battery.charge(Watts{5000.0}, kSecond);
   battery.refill();
   battery.charge(Watts{5000.0}, kSecond);

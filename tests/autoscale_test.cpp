@@ -187,8 +187,7 @@ TEST(AutoScaler, ValidatesConfig) {
   EXPECT_THROW(cluster::AutoScaler(*rig.cluster, bad),
                std::invalid_argument);
   bad = {};
-  bad.scale_down_utilization = 0.9;
-  bad.scale_up_utilization = 0.5;
+  bad.step = 0;
   EXPECT_THROW(cluster::AutoScaler(*rig.cluster, bad),
                std::invalid_argument);
 }

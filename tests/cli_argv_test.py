@@ -2,9 +2,9 @@
 """cli_argv_test — malformed command lines end in a usage error, never a crash.
 
 Runs each front-end with bad argv (a missing value, a bad number, an
-unknown flag, a negative count, an out-of-range attack zone, ...) and
-requires exit status 2 — not a signal — with stderr starting with the
-tool's "<tool>: " prefix.
+unknown flag, a negative count, an out-of-range attack zone, a JSON input
+nested 2,000,000 deep, ...) and requires exit status 2 — not a signal —
+with stderr starting with the tool's "<tool>: " prefix.
 
 Usage: cli_argv_test.py --dopesim PATH --dopesweep PATH
                         --dopefuzz PATH --dopereport PATH --dopebench PATH
@@ -13,8 +13,14 @@ Usage: cli_argv_test.py --dopesim PATH --dopesweep PATH
 from __future__ import annotations
 
 import argparse
+import os
 import subprocess
 import sys
+import tempfile
+
+# Stands for a file of 2,000,000 nested "[" written at run time: a JSON
+# reader must reject it with a usage error, not overflow its stack.
+DEEP_JSON = "<deep.json>"
 
 # Rejected by every front-end: either a bad value or a flag the tool
 # does not have.
@@ -56,12 +62,14 @@ CASES = {
         ["--seed", "0xZZ"],
         ["--live-interval-ms", "-5"],
         ["--case-seed", "1", "--replay", "x.repro.json"],
+        ["--replay", DEEP_JSON],
     ],
     "dopereport": COMMON + [
         ["-o"],
         [],
         ["a.json", "b.json"],
         ["/nonexistent/bundle.json"],
+        [DEEP_JSON],
     ],
     "dopebench": COMMON + [
         ["--threads"],
@@ -81,9 +89,15 @@ def main() -> int:
         parser.add_argument(f"--{tool}", required=True, metavar="PATH")
     paths = vars(parser.parse_args())
 
+    tmp = tempfile.TemporaryDirectory()
+    deep_path = os.path.join(tmp.name, "deep.json")
+    with open(deep_path, "w", encoding="ascii") as out:
+        out.write("[" * 2_000_000)
+
     failures = 0
     for tool, cases in CASES.items():
-        for argv in cases:
+        for case in cases:
+            argv = [deep_path if arg == DEEP_JSON else arg for arg in case]
             proc = subprocess.run([paths[tool], *argv], capture_output=True,
                                   text=True, timeout=60)
             problem = None
@@ -97,6 +111,7 @@ def main() -> int:
                 failures += 1
                 print(f"FAIL {tool} {' '.join(argv)}: {problem}\n"
                       f"  stderr: {proc.stderr.strip()[:300]}")
+    tmp.cleanup()
     total = sum(len(cases) for cases in CASES.values())
     print(f"cli_argv_test: {total - failures}/{total} command lines "
           f"rejected cleanly")

@@ -1,15 +1,19 @@
 // Unit tests for the common utility layer: units, RNG, statistics,
-// histograms, CSV, tables, and the parallel sweep helpers.
+// histograms, CSV, the JSON reader, tables, and the parallel sweep
+// helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/csv.hpp"
 #include "common/expect.hpp"
 #include "common/histogram.hpp"
+#include "common/minijson.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -357,6 +361,36 @@ TEST(Csv, ReaderReassemblesMultilineQuotedField) {
   std::vector<std::string> row;
   ASSERT_TRUE(reader.next(row));
   EXPECT_EQ(row[0], "line1\nline2");
+}
+
+TEST(MiniJson, NestingUpToTheLimitParses) {
+  const std::string doc = std::string(64, '[') + std::string(64, ']');
+  const minijson::Value value = minijson::parse(doc);
+  EXPECT_EQ(value.kind, minijson::Value::Kind::kArray);
+  ASSERT_EQ(value.items.size(), 1u);
+  EXPECT_EQ(value.items[0].kind, minijson::Value::Kind::kArray);
+}
+
+TEST(MiniJson, NestingPastTheLimitThrows) {
+  // Arrays and objects both count toward the depth; the parser stops at
+  // the 65th level instead of recursing through the whole document.
+  const char* const opens[] = {"[", "{\"k\": "};
+  for (const char* open : opens) {
+    std::string doc;
+    for (int i = 0; i < 65; ++i) doc += open;
+    try {
+      minijson::parse(doc);
+      ADD_FAILURE() << "accepted 65 levels of " << open;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "json: nesting deeper than 64");
+    }
+  }
+  try {
+    minijson::parse(std::string(2'000'000, '['));
+    ADD_FAILURE() << "accepted 2,000,000 levels";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "json: nesting deeper than 64");
+  }
 }
 
 TEST(Csv, WriterQuotesOnlyWhenNeeded) {

@@ -1,13 +1,11 @@
-// Tests for the extension features: RAPL per-node capping, battery
-// reserve policy, online power classification, and the oracle /
-// per-node capping ablation schemes.
+// Tests for the extension features: RAPL per-node capping, online power
+// classification, and the oracle / per-node capping ablation schemes.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "antidope/antidope.hpp"
 #include "antidope/online_classifier.hpp"
-#include "battery/battery.hpp"
 #include "cluster/cluster.hpp"
 #include "schemes/oracle.hpp"
 #include "schemes/rapl_capping.hpp"
@@ -98,44 +96,6 @@ TEST_F(RaplTest, RejectsNonPositiveCap) {
   EXPECT_THROW(rapl.set_cap(Watts{0.0}), std::invalid_argument);
 }
 
-// --------------------------------------------------------- battery reserve
-
-TEST(BatteryReserve, ShavingStopsAtReserveFloor) {
-  auto spec = battery::BatterySpec::sized_for(Watts{100.0}, kMinute);
-  spec.reserve_fraction = 0.25;
-  battery::Battery b(spec);
-  // Drain by shaving: must stop at 25% SoC.
-  for (int i = 0; i < 600; ++i) b.discharge(Watts{100.0}, kSecond);
-  EXPECT_NEAR(b.soc(), 0.25, 1e-9);
-  EXPECT_DOUBLE_EQ(b.discharge(Watts{100.0}, kSecond).value(), 0.0);
-}
-
-TEST(BatteryReserve, EmergencyDischargeTapsTheReserve) {
-  auto spec = battery::BatterySpec::sized_for(Watts{100.0}, kMinute);
-  spec.reserve_fraction = 0.25;
-  battery::Battery b(spec);
-  for (int i = 0; i < 600; ++i) b.discharge(Watts{100.0}, kSecond);
-  ASSERT_NEAR(b.soc(), 0.25, 1e-9);
-  EXPECT_GT(b.discharge(Watts{100.0}, kSecond, /*emergency=*/true),
-            Watts{0.0});
-  EXPECT_LT(b.soc(), 0.25);
-}
-
-TEST(BatteryReserve, ShavableReportsHeadroomAboveReserve) {
-  auto spec = battery::BatterySpec::sized_for(Watts{100.0}, kMinute);
-  spec.reserve_fraction = 0.5;
-  battery::Battery b(spec);
-  EXPECT_DOUBLE_EQ(b.shavable().value(), 3000.0);  // half of 6000 J
-  b.discharge(Watts{100.0}, 10 * kSecond);
-  EXPECT_DOUBLE_EQ(b.shavable().value(), 2000.0);
-}
-
-TEST(BatteryReserve, ValidatesReserveFraction) {
-  auto spec = battery::BatterySpec::sized_for(Watts{100.0}, kMinute);
-  spec.reserve_fraction = 1.0;
-  EXPECT_THROW(battery::Battery{spec}, std::invalid_argument);
-}
-
 // ------------------------------------------------------- online classifier
 
 TEST(OnlineClassifier, LearnsHeavyTypeFromIngestedSamples) {
@@ -148,29 +108,33 @@ TEST(OnlineClassifier, LearnsHeavyTypeFromIngestedSamples) {
 }
 
 TEST(OnlineClassifier, RequiresMinimumEvidence) {
-  antidope::OnlineClassifierConfig config;
-  config.min_observations = 50;
-  auto classifier = antidope::OnlineClassifier::untrained(2, config);
-  for (int i = 0; i < 49; ++i) classifier.ingest(0, Watts{30.0});
+  // Ten observations are needed before a type's estimate is trusted.
+  auto classifier = antidope::OnlineClassifier::untrained(2);
+  for (int i = 0; i < 9; ++i) classifier.ingest(0, Watts{30.0});
   EXPECT_FALSE(classifier.suspicious(0));
   classifier.ingest(0, Watts{30.0});
   EXPECT_TRUE(classifier.suspicious(0));
 }
 
 TEST(OnlineClassifier, HysteresisPreventsFlapping) {
-  antidope::OnlineClassifierConfig config;
-  config.suspect_threshold = Watts{10.0};
-  config.hysteresis = 0.2;  // releases below 8 W
-  config.alpha = 1.0;       // track the last sample exactly
-  config.min_observations = 1;
-  auto classifier = antidope::OnlineClassifier::untrained(1, config);
-  classifier.ingest(0, Watts{12.0});
+  // Suspect at 10 W, released only below 8 W (20 % hysteresis); the
+  // EWMA moves 0.2 of the way to each new sample.
+  auto classifier = antidope::OnlineClassifier::untrained(1);
+  for (int i = 0; i < 10; ++i) classifier.ingest(0, Watts{12.0});
   EXPECT_TRUE(classifier.suspicious(0));
-  // Inside the hysteresis band: stays suspect.
-  classifier.ingest(0, Watts{9.0});
+  // Five 9 W samples: 9 + 3 * 0.8^5 = 9.98 W, inside the band.
+  for (int i = 0; i < 5; ++i) classifier.ingest(0, Watts{9.0});
+  EXPECT_NEAR(classifier.estimate(0).value(), 9.0 + 3.0 * 0.32768, 1e-9);
   EXPECT_TRUE(classifier.suspicious(0));
-  classifier.ingest(0, Watts{7.0});  // below the release point
+  // Four 7 W samples leave the EWMA at 8.22 W: still suspect.
+  for (int i = 0; i < 4; ++i) classifier.ingest(0, Watts{7.0});
+  EXPECT_GT(classifier.estimate(0), Watts{8.0});
+  EXPECT_TRUE(classifier.suspicious(0));
+  // The fifth takes it to 7.98 W, below the release point.
+  classifier.ingest(0, Watts{7.0});
+  EXPECT_LT(classifier.estimate(0), Watts{8.0});
   EXPECT_FALSE(classifier.suspicious(0));
+  EXPECT_EQ(classifier.reclassifications(), 2u);
 }
 
 TEST(OnlineClassifier, PriorFlagsPersistWithoutEvidence) {
@@ -194,10 +158,7 @@ TEST(OnlineClassifier, ObserveAttributesNodePowerToActiveTypes) {
     r.size_factor = 100.0;
     node.submit(std::move(r));
   }
-  antidope::OnlineClassifierConfig config;
-  config.min_observations = 5;
-  auto classifier = antidope::OnlineClassifier::untrained(
-      catalog.size(), config);
+  auto classifier = antidope::OnlineClassifier::untrained(catalog.size());
   for (int i = 0; i < 10; ++i) classifier.observe(node);
   // Two K-means at 21 W each: the attributed share is ~21 W.
   EXPECT_NEAR(classifier.estimate(Catalog::kKMeans).value(), 21.0, 1.0);
@@ -378,10 +339,6 @@ TEST(RaplCapping, ReleasesCapsWhenLoadSubsides) {
   for (auto* node : cluster.servers()) {
     EXPECT_EQ(node->level(), cluster.ladder().max_level());
   }
-}
-
-TEST(RaplCapping, ValidatesMargin) {
-  EXPECT_THROW(schemes::RaplCappingScheme(0.0), std::invalid_argument);
 }
 
 }  // namespace

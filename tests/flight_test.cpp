@@ -28,8 +28,7 @@ namespace {
 // ------------------------------------------------ downsampling tiers
 
 TEST(TimeSeries, TierBucketsFoldMinMeanMax) {
-  TimeSeriesConfig config;
-  Series series("s", config);
+  Series series("s");
   // Values 0..24: bucket 0 folds 0..9, bucket 1 folds 10..19; 20..24
   // are still accumulating and must not appear in tier1 yet.
   for (int i = 0; i < 25; ++i) {
@@ -52,27 +51,26 @@ TEST(TimeSeries, TierBucketsFoldMinMeanMax) {
 }
 
 TEST(TimeSeries, RawRingWrapKeepsTierBoundariesAligned) {
-  // Raw ring shorter than one tier-1 bucket: eviction crosses every
-  // bucket boundary, yet the folded aggregates must stay exact because
+  // 35 samples past the raw ring's capacity: eviction crosses bucket
+  // boundaries, yet the folded aggregates must stay exact because
   // folding happens at sample time, not from the ring.
-  TimeSeriesConfig config;
-  config.raw_capacity = 7;
-  Series series("s", config);
-  for (int i = 0; i < 35; ++i) {
+  constexpr int kSamples = static_cast<int>(kRawCapacity) + 35;
+  Series series("s");
+  for (int i = 0; i < kSamples; ++i) {
     series.sample(i * kSecond, static_cast<double>(i));
   }
   const auto raw = series.raw();
-  ASSERT_EQ(raw.size(), 7u);
-  // Oldest-first, indices monotone and surviving eviction: 28..34.
+  ASSERT_EQ(raw.size(), kRawCapacity);
+  // Oldest-first, indices monotone and surviving eviction: 35..634.
   for (std::size_t k = 0; k < raw.size(); ++k) {
-    EXPECT_EQ(raw[k].index, 28u + k);
-    EXPECT_EQ(raw[k].value, static_cast<double>(28 + k));
+    EXPECT_EQ(raw[k].index, 35u + k);
+    EXPECT_EQ(raw[k].value, static_cast<double>(35 + k));
     if (k > 0) {
       EXPECT_GT(raw[k].index, raw[k - 1].index);
     }
   }
   const auto tier1 = series.tier1();
-  ASSERT_EQ(tier1.size(), 3u);
+  ASSERT_EQ(tier1.size(), static_cast<std::size_t>(kSamples) / kTier1FanIn);
   for (std::size_t b = 0; b < tier1.size(); ++b) {
     EXPECT_EQ(tier1[b].first_index, b * kTier1FanIn);
     EXPECT_EQ(tier1[b].count, kTier1FanIn);
@@ -84,31 +82,29 @@ TEST(TimeSeries, RawRingWrapKeepsTierBoundariesAligned) {
     EXPECT_LE(tier1[b].mean(), tier1[b].max);
   }
   // Whole-run totals ignore eviction entirely.
-  EXPECT_EQ(series.total_samples(), 35u);
-  EXPECT_DOUBLE_EQ(series.total_sum(), 35.0 * 34.0 / 2.0);
+  EXPECT_EQ(series.total_samples(), static_cast<std::uint64_t>(kSamples));
+  EXPECT_DOUBLE_EQ(series.total_sum(), kSamples * (kSamples - 1) / 2.0);
   EXPECT_EQ(series.seen_min(), 0.0);
-  EXPECT_EQ(series.seen_max(), 34.0);
+  EXPECT_EQ(series.seen_max(), kSamples - 1.0);
 }
 
 TEST(TimeSeries, TierRingsThemselvesWrap) {
-  TimeSeriesConfig config;
-  config.raw_capacity = 5;
-  config.tier1_capacity = 3;
-  Series series("s", config);
-  // 60 samples = 6 tier-1 buckets; only the last 3 survive.
-  for (int i = 0; i < 60; ++i) {
-    series.sample(i * kSecond, static_cast<double>(i));
+  // Six tier-1 buckets past the tier-1 ring's capacity: only the last
+  // kTier1Capacity survive.
+  constexpr std::size_t kBuckets = kTier1Capacity + 6;
+  Series series("s");
+  for (std::size_t i = 0; i < kBuckets * kTier1FanIn; ++i) {
+    series.sample(static_cast<Time>(i) * kSecond, static_cast<double>(i));
   }
   const auto tier1 = series.tier1();
-  ASSERT_EQ(tier1.size(), 3u);
-  EXPECT_EQ(tier1[0].first_index, 30u);
-  EXPECT_EQ(tier1[1].first_index, 40u);
-  EXPECT_EQ(tier1[2].first_index, 50u);
+  ASSERT_EQ(tier1.size(), kTier1Capacity);
+  EXPECT_EQ(tier1.front().first_index, 6 * kTier1FanIn);
+  EXPECT_EQ(tier1[1].first_index, 7 * kTier1FanIn);
+  EXPECT_EQ(tier1.back().first_index, (kBuckets - 1) * kTier1FanIn);
 }
 
 TEST(TimeSeries, RunShorterThanOneTier) {
-  TimeSeriesConfig config;
-  Series series("s", config);
+  Series series("s");
   for (int i = 0; i < 4; ++i) {
     series.sample(i * kSecond, 2.0 * i);
   }
@@ -124,8 +120,7 @@ TEST(TimeSeries, RunShorterThanOneTier) {
 }
 
 TEST(TimeSeries, ZeroSampleExport) {
-  TimeSeriesConfig config;
-  Series series("empty", config);
+  Series series("empty");
   EXPECT_EQ(series.total_samples(), 0u);
   EXPECT_EQ(series.seen_min(), 0.0);
   EXPECT_EQ(series.seen_max(), 0.0);
@@ -179,8 +174,7 @@ struct Rig {
   TraceRecorder trace;
   FlightRecorder flight;
 
-  explicit Rig(FlightConfig config = {})
-      : flight(config, nullptr, &trace, nullptr) {
+  Rig() : flight(nullptr, &trace, nullptr) {
     FlightRunContext context;
     context.seed = 42;
     context.scheme = "none";
@@ -229,21 +223,21 @@ TEST(FlightRecorder, ViolationOnsetsTrackedPerZone) {
 }
 
 TEST(FlightRecorder, CapEmitsIncidentTruncatedTrailer) {
-  FlightConfig config;
-  config.max_incidents = 2;
-  Rig rig(config);
-  for (int s = 0; s < 5; ++s) {
+  Rig rig;
+  // Three triggers past the cap, one slot apart so none is deduped.
+  const int triggers = static_cast<int>(kMaxIncidents) + 3;
+  for (int s = 0; s < triggers; ++s) {
     rig.flight.on_trace_event(breaker_trip(s * kSecond));
   }
-  EXPECT_EQ(rig.flight.incident_count(), 2u);
-  EXPECT_EQ(rig.flight.triggers(), 5u);
+  EXPECT_EQ(rig.flight.incident_count(), kMaxIncidents);
+  EXPECT_EQ(rig.flight.triggers(), static_cast<std::uint64_t>(triggers));
   EXPECT_EQ(rig.flight.dropped(), 3u);
   std::ostringstream out;
   rig.flight.write_json(out);
   const std::string json = out.str();
   EXPECT_NE(json.find("\"IncidentTruncated\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"cap\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"cap\": 8"), std::string::npos);
 }
 
 TEST(FlightRecorder, ManualDumpAndAuditTriggersCapture) {

@@ -191,13 +191,15 @@ TEST(GradedAntiDope, ThrottlesHeaviestPoolFirstUnderDeficit) {
 }
 
 TEST(GradedAntiDope, ValidatesConfig) {
-  GradedConfig bad;
-  bad.num_classes = 1;
-  EXPECT_THROW(GradedAntiDopeScheme{bad}, std::invalid_argument);
-  bad = {};
-  bad.num_classes = 6;
-  bad.pool_fraction_per_class = 0.2;  // 5 * 0.2 leaves nothing
-  EXPECT_THROW(GradedAntiDopeScheme{bad}, std::invalid_argument);
+  // Three power classes need at least one server each.
+  sim::Engine engine;
+  const auto catalog = Catalog::standard();
+  cluster::ClusterConfig cc;
+  cc.num_servers = 2;
+  cluster::Cluster cluster(engine, catalog, cc);
+  EXPECT_THROW(
+      cluster.install_scheme(std::make_unique<GradedAntiDopeScheme>()),
+      std::invalid_argument);
 }
 
 }  // namespace

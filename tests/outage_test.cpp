@@ -206,10 +206,8 @@ TEST(ClusterOutage, UnmanagedDopeTripsTheBreaker) {
 TEST(ClusterOutage, ServiceRecoversAfterTheOutage) {
   sim::Engine engine;
   const auto catalog = Catalog::standard();
-  auto cc = breaker_cluster(scenario::SchemeKind::kNone);
-  cc.outage_recovery = 10 * kSecond;
-  cc.reboot_time = 5 * kSecond;
-  cluster::Cluster cluster(engine, catalog, cc);
+  cluster::Cluster cluster(engine, catalog,
+                           breaker_cluster(scenario::SchemeKind::kNone));
   cluster.install_scheme(std::make_unique<schemes::NoScheme>());
 
   // A burst that trips the breaker, then calm traffic.

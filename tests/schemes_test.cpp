@@ -160,11 +160,6 @@ TEST(Capping, HurtsEveryoneUniformly) {
   EXPECT_GT(metrics.normal_latency_ms().mean(), 10.0);
 }
 
-TEST(Capping, ValidatesMargin) {
-  EXPECT_THROW(CappingScheme(-0.1), std::invalid_argument);
-  EXPECT_THROW(CappingScheme(1.0), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------- Shaving
 
 cluster::ClusterConfig battery_config() {
@@ -270,28 +265,6 @@ TEST(Token, AdmitsEverythingUnderLightLoad) {
   rig.cluster->run_for(30 * kSecond);
   const auto& metrics = rig.cluster->request_metrics();
   EXPECT_EQ(metrics.normal_counts().dropped_by_limit, 0u);
-}
-
-TEST(Shaving, RespectsBatteryReserveFloor) {
-  // With a 40% outage reserve, shaving stops at SoC 0.4 and DVFS takes
-  // over earlier than with the full battery available.
-  auto config = battery_config();
-  config.battery_reserve_fraction = 0.4;
-  config.budget_override = Watts{550.0};
-  Rig rig(config);
-  rig.cluster->install_scheme(std::make_unique<ShavingScheme>());
-  rig.offer(workload::Mixture::single(Catalog::kKMeans), 700.0);
-  rig.cluster->run_for(10 * kMinute);
-  EXPECT_GE(rig.cluster->battery()->soc(), 0.4 - 1e-9);
-  bool any_throttled = false;
-  for (auto* n : rig.cluster->servers()) {
-    if (n->level() < rig.cluster->ladder().max_level()) any_throttled = true;
-  }
-  EXPECT_TRUE(any_throttled);
-}
-
-TEST(Token, ValidatesBurstWindow) {
-  EXPECT_THROW(TokenScheme(0.0), std::invalid_argument);
 }
 
 }  // namespace
