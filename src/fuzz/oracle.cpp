@@ -175,12 +175,15 @@ class Judge {
     // Slot statistics are internally consistent. (No ordering between
     // utility and demand violations: battery recharge rides on the
     // utility feed, so a recharging slot can breach on the utility side
-    // alone.)
+    // alone.) Site-level downtime is summed over zones, so it is bounded
+    // by the run's zone-time.
     const auto& slots = r.slot_stats;
+    const Duration zone_time =
+        config.duration * static_cast<Duration>(config.num_zones);
     if (slots.violation_slots > slots.slots ||
         slots.utility_violation_slots > slots.slots ||
         slots.worst_overshoot < Watts{-1e-9} || slots.downtime < 0 ||
-        slots.downtime > config.duration) {
+        slots.downtime > zone_time) {
       detail << "slots=" << slots.slots
              << ", violations=" << slots.violation_slots
              << ", utility violations=" << slots.utility_violation_slots

@@ -176,20 +176,21 @@ void FlightRecorder::capture(Time t, const char* trigger,
     out << "{}";
   }
 
-  out << ",\n      \"trace_tail\": [";
+  JsonBuf records;
+  records.raw(",\n      \"trace_tail\": [");
   if (trace_ != nullptr) {
     const auto& events = trace_->events();
     const std::size_t n = std::min(kTraceTail, events.size());
     for (std::size_t k = events.size() - n; k < events.size(); ++k) {
-      if (k > events.size() - n) out << ',';
-      out << "\n        ";
-      write_jsonl_event(out, events[k]);
+      if (k > events.size() - n) records.raw(',');
+      records.raw("\n        ");
+      write_jsonl_event(records, events[k]);
     }
-    if (n > 0) out << "\n      ";
+    if (n > 0) records.raw("\n      ");
   }
-  out << ']';
+  records.raw(']');
 
-  out << ",\n      \"open_spans\": [";
+  records.raw(",\n      \"open_spans\": [");
   std::size_t open_total = 0;
   if (spans_ != nullptr) {
     std::size_t listed = 0;
@@ -197,14 +198,15 @@ void FlightRecorder::capture(Time t, const char* trigger,
       if (!span.open()) continue;
       ++open_total;
       if (listed >= kOpenSpanCap) continue;
-      if (listed > 0) out << ',';
-      out << "\n        ";
-      write_span_begin_jsonl(out, span);
+      if (listed > 0) records.raw(',');
+      records.raw("\n        ");
+      write_span_begin_jsonl(records, span);
       ++listed;
     }
-    if (listed > 0) out << "\n      ";
+    if (listed > 0) records.raw("\n      ");
   }
-  out << "], \"open_span_count\": " << open_total;
+  records.raw("], \"open_span_count\": ").integer(open_total);
+  records.flush(out);
 
   out << ",\n      \"forensics\": ";
   if (spans_ != nullptr && trace_ != nullptr) {

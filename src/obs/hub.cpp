@@ -1,11 +1,9 @@
 #include "obs/hub.hpp"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <ostream>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -13,43 +11,46 @@ namespace dope::obs {
 
 namespace {
 
-/// One line of the merged JSONL export. `stream` orders ties: events
-/// before span begins before span ends at the same timestamp, so an
-/// instant span's End always follows its Begin.
-struct MergeEntry {
-  Time t = 0;
-  int stream = 0;  // 0 = trace event, 1 = span begin, 2 = span end
-  std::size_t idx = 0;
-};
-
 /// Chrome tid for a (server, slot) service track. Slot counts are core
 /// counts (tens), so 1024 slots per server keeps tids disjoint.
 int service_tid(const Span& span) {
   return span.server * 1024 + span.slot + 1;
 }
 
-void write_chrome_async(std::ostream& out, bool& first, const Span& span,
-                        const char* cat, const char* name) {
-  char id_buf[24];
-  std::snprintf(id_buf, sizeof(id_buf), "0x%" PRIx64, span.id);
-  if (!first) out << ",\n";
-  first = false;
-  out << "{\"ph\": \"b\", \"cat\": \"" << cat
-      << "\", \"id\": \"" << id_buf << "\", \"pid\": 3, \"tid\": 0, "
-      << "\"ts\": " << span.begin << ", \"name\": \"" << name
-      << "\", \"args\": {\"span_id\": " << span.id
-      << ", \"parent\": " << span.parent
-      << ", \"source_id\": " << span.source_id
-      << ", \"url_class\": " << span.url_class;
-  if (span.server >= 0) out << ", \"server\": " << span.server;
-  out << "}}";
+void write_chrome_async(JsonBuf& buf, const Span& span, const char* cat,
+                        const char* name) {
+  const auto head = [&](char ph) {
+    buf.raw("{\"ph\": \"")
+        .raw(ph)
+        .raw("\", \"cat\": \"")
+        .raw(cat)
+        .raw("\", \"id\": \"0x")
+        .integer(span.id, 16)
+        .raw("\", \"pid\": 3, \"tid\": 0, \"ts\": ");
+  };
+  head('b');
+  buf.integer(span.begin)
+      .raw(", \"name\": \"")
+      .raw(name)
+      .raw("\", \"args\": {\"span_id\": ")
+      .integer(span.id)
+      .raw(", \"parent\": ")
+      .integer(span.parent)
+      .raw(", \"source_id\": ")
+      .integer(span.source_id)
+      .raw(", \"url_class\": ")
+      .integer(span.url_class);
+  if (span.server >= 0) buf.raw(", \"server\": ").integer(span.server);
+  buf.raw("}}");
   if (span.open()) return;
-  out << ",\n{\"ph\": \"e\", \"cat\": \"" << cat
-      << "\", \"id\": \"" << id_buf << "\", \"pid\": 3, \"tid\": 0, "
-      << "\"ts\": " << span.end << ", \"name\": \"" << name
-      << "\", \"args\": {\"outcome\": ";
-  write_json_string(out, span.outcome);
-  out << "}}";
+  buf.raw(",\n");
+  head('e');
+  buf.integer(span.end)
+      .raw(", \"name\": \"")
+      .raw(name)
+      .raw("\", \"args\": {\"outcome\": ")
+      .str(span.outcome)
+      .raw("}}");
 }
 
 }  // namespace
@@ -59,42 +60,11 @@ void Hub::write_trace_jsonl(std::ostream& out) const {
     trace_.write_jsonl(out);
     return;
   }
-
-  const auto& events = trace_.events();
-  const auto& spans = spans_->spans();
-  std::vector<MergeEntry> entries;
-  entries.reserve(events.size() + 2 * spans.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    entries.push_back({events[i].t, 0, i});
-  }
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    entries.push_back({spans[i].begin, 1, i});
-    if (!spans[i].open()) entries.push_back({spans[i].end, 2, i});
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const MergeEntry& a, const MergeEntry& b) {
-                     if (a.t != b.t) return a.t < b.t;
-                     return a.stream < b.stream;
-                   });
-
-  for (const MergeEntry& entry : entries) {
-    switch (entry.stream) {
-      case 0: write_jsonl_event(out, events[entry.idx]); break;
-      case 1: write_span_begin_jsonl(out, spans[entry.idx]); break;
-      default: write_span_end_jsonl(out, spans[entry.idx]); break;
-    }
-    out << "\n";
-  }
-  if (trace_.dropped() > 0) {
-    out << "{\"type\": \"TraceTruncated\", \"dropped\": "
-        << trace_.dropped() << ", \"cap\": " << trace_.max_events()
-        << "}\n";
-  }
-  if (spans_->dropped() > 0) {
-    out << "{\"type\": \"SpanTruncated\", \"dropped\": "
-        << spans_->dropped() << ", \"cap\": " << spans_->max_spans()
-        << "}\n";
-  }
+  JsonBuf buf;
+  write_merged_jsonl(out, buf, trace_.events(), spans_->spans());
+  trace_.write_jsonl_trailer(buf);
+  spans_->write_jsonl_trailer(buf);
+  buf.flush(out);
 }
 
 void Hub::write_chrome_trace(std::ostream& out) const {
@@ -103,9 +73,14 @@ void Hub::write_chrome_trace(std::ostream& out) const {
     return;
   }
 
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+  JsonBuf buf;
+  buf.raw("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
   bool first = true;
-  trace_.write_chrome_body(out, first);
+  trace_.write_chrome_body(out, buf, first);
+  const auto separate = [&] {
+    if (!first) buf.raw(",\n");
+    first = false;
+  };
 
   // Span tracks. pid 1 carries the instant-event rows (above); pid 2 is
   // the per-(server, slot) occupancy tracks; pid 3 the async
@@ -122,12 +97,16 @@ void Hub::write_chrome_trace(std::ostream& out) const {
   }
   const auto metadata = [&](int pid, int tid, const char* key,
                             const std::string& name) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "{\"ph\": \"M\", \"pid\": " << pid << ", \"tid\": " << tid
-        << ", \"name\": \"" << key << "\", \"args\": {\"name\": ";
-    write_json_string(out, name);
-    out << "}}";
+    separate();
+    buf.raw("{\"ph\": \"M\", \"pid\": ")
+        .integer(pid)
+        .raw(", \"tid\": ")
+        .integer(tid)
+        .raw(", \"name\": \"")
+        .raw(key)
+        .raw("\", \"args\": {\"name\": ")
+        .str(name)
+        .raw("}}");
   };
   if (!slot_tracks.empty()) metadata(2, 0, "process_name", "server slots");
   metadata(3, 0, "process_name", "requests");
@@ -143,48 +122,61 @@ void Hub::write_chrome_trace(std::ostream& out) const {
         // One request per slot at a time, so adjacent B/E pairs per tid
         // are correctly nested; an open span emits B only (shown as
         // "did not finish").
-        if (!first) out << ",\n";
-        first = false;
-        out << "{\"ph\": \"B\", \"pid\": 2, \"tid\": "
-            << service_tid(span) << ", \"ts\": " << span.begin
-            << ", \"name\": \"service c" << span.url_class
-            << "\", \"args\": {\"span_id\": " << span.id
-            << ", \"parent\": " << span.parent
-            << ", \"source_id\": " << span.source_id
-            << ", \"url_class\": " << span.url_class
-            << ", \"power_w\": ";
-        write_json_number(out, span.power_w.value());
-        out << "}}";
+        separate();
+        buf.raw("{\"ph\": \"B\", \"pid\": 2, \"tid\": ")
+            .integer(service_tid(span))
+            .raw(", \"ts\": ")
+            .integer(span.begin)
+            .raw(", \"name\": \"service c")
+            .integer(span.url_class)
+            .raw("\", \"args\": {\"span_id\": ")
+            .integer(span.id)
+            .raw(", \"parent\": ")
+            .integer(span.parent)
+            .raw(", \"source_id\": ")
+            .integer(span.source_id)
+            .raw(", \"url_class\": ")
+            .integer(span.url_class)
+            .raw(", \"power_w\": ")
+            .num(span.power_w.value())
+            .raw("}}");
         if (!span.open()) {
-          out << ",\n{\"ph\": \"E\", \"pid\": 2, \"tid\": "
-              << service_tid(span) << ", \"ts\": " << span.end
-              << ", \"name\": \"service c" << span.url_class
-              << "\", \"args\": {\"outcome\": ";
-          write_json_string(out, span.outcome);
-          out << "}}";
+          buf.raw(",\n{\"ph\": \"E\", \"pid\": 2, \"tid\": ")
+              .integer(service_tid(span))
+              .raw(", \"ts\": ")
+              .integer(span.end)
+              .raw(", \"name\": \"service c")
+              .integer(span.url_class)
+              .raw("\", \"args\": {\"outcome\": ")
+              .str(span.outcome)
+              .raw("}}");
         }
         break;
       }
       case SpanKind::kRequest:
-        write_chrome_async(out, first, span, "request", "request");
+        separate();
+        write_chrome_async(buf, span, "request", "request");
         break;
       case SpanKind::kQueue:
-        write_chrome_async(out, first, span, "queue", "queue");
+        separate();
+        write_chrome_async(buf, span, "queue", "queue");
         break;
       case SpanKind::kFirewall:
       case SpanKind::kLbPick:
         break;
     }
+    buf.spill(out);
   }
   if (spans_->dropped() > 0) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "{\"ph\": \"i\", \"s\": \"g\", \"pid\": 3, \"tid\": 0, "
-           "\"ts\": 0, \"name\": \"SpanTruncated\", \"args\": "
-           "{\"dropped\": "
-        << spans_->dropped() << "}}";
+    separate();
+    buf.raw("{\"ph\": \"i\", \"s\": \"g\", \"pid\": 3, \"tid\": 0, "
+            "\"ts\": 0, \"name\": \"SpanTruncated\", \"args\": "
+            "{\"dropped\": ")
+        .integer(spans_->dropped())
+        .raw("}}");
   }
-  out << "\n]}\n";
+  buf.raw("\n]}\n");
+  buf.flush(out);
 }
 
 }  // namespace dope::obs

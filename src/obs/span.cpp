@@ -1,10 +1,12 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <ostream>
 #include <utility>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace dope::obs {
 
@@ -51,68 +53,131 @@ void SpanTracer::instant(Span span, Time t) {
   spans_.push_back(span);
 }
 
-void write_span_begin_jsonl(std::ostream& out, const Span& span) {
-  out << "{\"t_us\": " << span.begin << ", \"t_s\": ";
-  write_json_number(out, to_seconds(span.begin));
-  out << ", \"type\": \"SpanBegin\", \"source\": \"span\", \"span_id\": "
-      << span.id << ", \"parent\": " << span.parent << ", \"kind\": ";
-  write_json_string(out, span_kind_name(span.kind));
-  out << ", \"source_id\": " << span.source_id
-      << ", \"url_class\": " << span.url_class;
-  if (span.server >= 0) out << ", \"server\": " << span.server;
-  if (span.slot >= 0) out << ", \"slot\": " << span.slot;
-  if (span.zone >= 0) out << ", \"zone\": " << span.zone;
+void write_span_begin_jsonl(JsonBuf& buf, const Span& span) {
+  buf.raw("{\"t_us\": ")
+      .integer(span.begin)
+      .raw(", \"t_s\": ")
+      .seconds(span.begin)
+      .raw(", \"type\": \"SpanBegin\", \"source\": \"span\", "
+           "\"span_id\": ")
+      .integer(span.id)
+      .raw(", \"parent\": ")
+      .integer(span.parent)
+      .raw(", \"kind\": ")
+      .str(span_kind_name(span.kind))
+      .raw(", \"source_id\": ")
+      .integer(span.source_id)
+      .raw(", \"url_class\": ")
+      .integer(span.url_class);
+  if (span.server >= 0) buf.raw(", \"server\": ").integer(span.server);
+  if (span.slot >= 0) buf.raw(", \"slot\": ").integer(span.slot);
+  if (span.zone >= 0) buf.raw(", \"zone\": ").integer(span.zone);
   if (span.power_w > Watts{0.0}) {
-    out << ", \"power_w\": ";
-    write_json_number(out, span.power_w.value());
+    buf.raw(", \"power_w\": ").num(span.power_w.value());
   }
-  if (span.label[0] != '\0') {
-    out << ", \"label\": ";
-    write_json_string(out, span.label);
-  }
-  out << "}";
+  if (span.label[0] != '\0') buf.raw(", \"label\": ").str(span.label);
+  buf.raw('}');
 }
 
-void write_span_end_jsonl(std::ostream& out, const Span& span) {
-  out << "{\"t_us\": " << span.end << ", \"t_s\": ";
-  write_json_number(out, to_seconds(span.end));
-  out << ", \"type\": \"SpanEnd\", \"source\": \"span\", \"span_id\": "
-      << span.id << ", \"kind\": ";
-  write_json_string(out, span_kind_name(span.kind));
-  out << ", \"outcome\": ";
-  write_json_string(out, span.outcome);
-  out << "}";
+void write_span_end_jsonl(JsonBuf& buf, const Span& span) {
+  buf.raw("{\"t_us\": ")
+      .integer(span.end)
+      .raw(", \"t_s\": ")
+      .seconds(span.end)
+      .raw(", \"type\": \"SpanEnd\", \"source\": \"span\", "
+           "\"span_id\": ")
+      .integer(span.id)
+      .raw(", \"kind\": ")
+      .str(span_kind_name(span.kind))
+      .raw(", \"outcome\": ")
+      .str(span.outcome)
+      .raw('}');
+}
+
+namespace {
+
+/// Positions of `records` in time order, ties in recording order. Empty
+/// when the records are in time order already — the recorded order is
+/// then the answer, and no index is built.
+template <class T, class TimeOf>
+std::vector<std::size_t> time_order(const std::vector<T>& records,
+                                    TimeOf time_of) {
+  const auto earlier = [&](const T& a, const T& b) {
+    return time_of(a) < time_of(b);
+  };
+  if (std::is_sorted(records.begin(), records.end(), earlier)) return {};
+  std::vector<std::size_t> order(records.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return earlier(records[a], records[b]);
+                   });
+  return order;
+}
+
+/// The `k`-th record of `records` in `order` (see `time_order`).
+template <class T>
+const T& nth(const std::vector<T>& records,
+             const std::vector<std::size_t>& order, std::size_t k) {
+  return records[order.empty() ? k : order[k]];
+}
+
+}  // namespace
+
+void write_merged_jsonl(std::ostream& out, JsonBuf& buf,
+                        const std::vector<TraceEvent>& events,
+                        const std::vector<Span>& spans) {
+  const std::vector<std::size_t> event_order =
+      time_order(events, [](const TraceEvent& e) { return e.t; });
+  const std::vector<std::size_t> begin_order =
+      time_order(spans, [](const Span& s) { return s.begin; });
+  // Ends are not recorded in time order (a long span closes after later
+  // short ones). (end, index) pairs sort like a stable sort by end.
+  std::vector<std::pair<Time, std::size_t>> ends;
+  ends.reserve(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (!spans[i].open()) ends.emplace_back(spans[i].end, i);
+  }
+  std::sort(ends.begin(), ends.end());
+
+  std::size_t ie = 0;
+  std::size_t ib = 0;
+  std::size_t ix = 0;
+  while (ie < events.size() || ib < spans.size() || ix < ends.size()) {
+    const TraceEvent* e =
+        ie < events.size() ? &nth(events, event_order, ie) : nullptr;
+    const Span* b = ib < spans.size() ? &nth(spans, begin_order, ib) : nullptr;
+    const bool has_end = ix < ends.size();
+    if (e != nullptr && (b == nullptr || e->t <= b->begin) &&
+        (!has_end || e->t <= ends[ix].first)) {
+      write_jsonl_event(buf, *e);
+      ++ie;
+    } else if (b != nullptr && (!has_end || b->begin <= ends[ix].first)) {
+      write_span_begin_jsonl(buf, *b);
+      ++ib;
+    } else {
+      write_span_end_jsonl(buf, spans[ends[ix].second]);
+      ++ix;
+    }
+    buf.raw('\n');
+    buf.spill(out);
+  }
 }
 
 void SpanTracer::write_jsonl(std::ostream& out) const {
-  // Begins are recorded in time order; ends are not (a long span closes
-  // after later short ones), so sort the closed ends and merge the two
-  // streams, keeping t_us monotone. At equal t, begins precede ends.
-  std::vector<std::pair<Time, const Span*>> ends;
-  ends.reserve(spans_.size());
-  for (const Span& span : spans_) {
-    if (!span.open()) ends.emplace_back(span.end, &span);
-  }
-  std::stable_sort(
-      ends.begin(), ends.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t e = 0;
-  for (const Span& span : spans_) {
-    while (e < ends.size() && ends[e].first < span.begin) {
-      write_span_end_jsonl(out, *ends[e++].second);
-      out << "\n";
-    }
-    write_span_begin_jsonl(out, span);
-    out << "\n";
-  }
-  while (e < ends.size()) {
-    write_span_end_jsonl(out, *ends[e++].second);
-    out << "\n";
-  }
-  if (dropped() > 0) {
-    out << "{\"type\": \"SpanTruncated\", \"dropped\": " << dropped()
-        << ", \"cap\": " << config_.max_spans << "}\n";
-  }
+  JsonBuf buf;
+  write_merged_jsonl(out, buf, {}, spans_);
+  write_jsonl_trailer(buf);
+  buf.flush(out);
+}
+
+void SpanTracer::write_jsonl_trailer(JsonBuf& buf) const {
+  if (dropped() == 0) return;
+  buf.raw("{\"type\": \"SpanTruncated\", \"dropped\": ")
+      .integer(dropped())
+      .raw(", \"cap\": ")
+      .integer(config_.max_spans)
+      .raw("}\n");
 }
 
 }  // namespace dope::obs

@@ -28,6 +28,9 @@
 
 namespace dope::obs {
 
+class JsonBuf;
+struct TraceEvent;
+
 /// Lifecycle stage of a span; doubles as the low bits of its id.
 enum class SpanKind : std::uint8_t {
   kRequest = 0,   // arrival -> terminal outcome (root)
@@ -112,9 +115,12 @@ class SpanTracer {
   std::size_t max_spans() const { return config_.max_spans; }
 
   /// One `SpanBegin`/`SpanEnd` JSONL record pair per span, time-ordered
-  /// (stand-alone export; `Hub::write_trace_jsonl` merges spans with the
-  /// event trace instead).
+  /// (stand-alone export: `write_merged_jsonl` with no events;
+  /// `Hub::write_trace_jsonl` merges spans with the event trace instead).
   void write_jsonl(std::ostream& out) const;
+
+  /// Appends the `SpanTruncated` JSONL line when spans were dropped.
+  void write_jsonl_trailer(JsonBuf& buf) const;
 
  private:
   SpanConfig config_;
@@ -127,12 +133,25 @@ class SpanTracer {
   std::array<std::uint64_t, kSpanKindCount> counts_{};
 };
 
-/// Writes one span as its JSONL `SpanBegin` record (no trailing newline
-/// handling — callers append '\n').
-void write_span_begin_jsonl(std::ostream& out, const Span& span);
+/// Appends one span as its JSONL `SpanBegin` record (no trailing
+/// newline — callers append '\n').
+void write_span_begin_jsonl(JsonBuf& buf, const Span& span);
 
-/// Writes one span as its JSONL `SpanEnd` record. Only valid for closed
+/// Appends one span as its JSONL `SpanEnd` record. Only valid for closed
 /// spans.
-void write_span_end_jsonl(std::ostream& out, const Span& span);
+void write_span_end_jsonl(JsonBuf& buf, const Span& span);
+
+/// Writes `events` and the SpanBegin/SpanEnd records of `spans` as one
+/// time-ordered JSONL stream, one record per line, through `buf` into
+/// `out`. At equal t, events come first, then begins, then ends (so an
+/// instant span's End follows its Begin); within a kind, ties keep
+/// recording order. Events and begins are recorded at the engine's
+/// clock, so each is normally in time order already and is streamed as
+/// is; a stream that is not (hand-fed input) is stable-sorted by time
+/// first. Only the closed ends are sorted, always. Trailers are the
+/// caller's.
+void write_merged_jsonl(std::ostream& out, JsonBuf& buf,
+                        const std::vector<TraceEvent>& events,
+                        const std::vector<Span>& spans);
 
 }  // namespace dope::obs

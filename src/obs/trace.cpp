@@ -47,54 +47,65 @@ std::size_t TraceRecorder::distinct_types() const {
 
 namespace {
 
-void write_payload_fields(std::ostream& out, const TraceEvent& e) {
+void write_payload_fields(JsonBuf& buf, const TraceEvent& e) {
   for (const auto& [key, value] : e.num) {
-    out << ", ";
-    write_json_string(out, key);
-    out << ": ";
-    write_json_number(out, value);
+    buf.raw(", ").str(key).raw(": ").num(value);
   }
   for (const auto& [key, value] : e.str) {
-    out << ", ";
-    write_json_string(out, key);
-    out << ": ";
-    write_json_string(out, value);
+    buf.raw(", ").str(key).raw(": ").str(value);
   }
 }
 
 }  // namespace
 
-void write_jsonl_event(std::ostream& out, const TraceEvent& e) {
-  out << "{\"t_us\": " << e.t << ", \"t_s\": ";
-  write_json_number(out, to_seconds(e.t));
-  out << ", \"type\": ";
-  write_json_string(out, event_type_name(e.type));
-  out << ", \"source\": ";
-  write_json_string(out, e.source);
-  write_payload_fields(out, e);
-  out << "}";
+void write_jsonl_event(JsonBuf& buf, const TraceEvent& e) {
+  buf.raw("{\"t_us\": ")
+      .integer(e.t)
+      .raw(", \"t_s\": ")
+      .seconds(e.t)
+      .raw(", \"type\": ")
+      .str(event_type_name(e.type))
+      .raw(", \"source\": ")
+      .str(e.source);
+  write_payload_fields(buf, e);
+  buf.raw('}');
 }
 
 void TraceRecorder::write_jsonl(std::ostream& out) const {
+  JsonBuf buf;
   for (const auto& e : events_) {
-    write_jsonl_event(out, e);
-    out << "\n";
+    write_jsonl_event(buf, e);
+    buf.raw('\n');
+    buf.spill(out);
   }
-  if (dropped() > 0) {
-    out << "{\"type\": \"TraceTruncated\", \"dropped\": " << dropped()
-        << ", \"cap\": " << config_.max_events << "}\n";
-  }
+  write_jsonl_trailer(buf);
+  buf.flush(out);
+}
+
+void TraceRecorder::write_jsonl_trailer(JsonBuf& buf) const {
+  if (dropped() == 0) return;
+  buf.raw("{\"type\": \"TraceTruncated\", \"dropped\": ")
+      .integer(dropped())
+      .raw(", \"cap\": ")
+      .integer(config_.max_events)
+      .raw("}\n");
 }
 
 void TraceRecorder::write_chrome_trace(std::ostream& out) const {
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+  JsonBuf buf;
+  buf.raw("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
   bool first = true;
-  write_chrome_body(out, first);
-  out << "\n]}\n";
+  write_chrome_body(out, buf, first);
+  buf.raw("\n]}\n");
+  buf.flush(out);
 }
 
-void TraceRecorder::write_chrome_body(std::ostream& out,
+void TraceRecorder::write_chrome_body(std::ostream& out, JsonBuf& buf,
                                       bool& first) const {
+  const auto separate = [&] {
+    if (!first) buf.raw(",\n");
+    first = false;
+  };
   // One synthetic thread per emitting component so each gets its own row.
   std::map<std::string_view, int> tids;
   for (const auto& e : events_) {
@@ -104,45 +115,44 @@ void TraceRecorder::write_chrome_body(std::ostream& out,
   for (auto& [source, tid] : tids) tid = next_tid++;
 
   for (const auto& [source, tid] : tids) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
-        << ", \"name\": \"thread_name\", \"args\": {\"name\": ";
-    write_json_string(out, source);
-    out << "}}";
+    separate();
+    buf.raw("{\"ph\": \"M\", \"pid\": 1, \"tid\": ")
+        .integer(tid)
+        .raw(", \"name\": \"thread_name\", \"args\": {\"name\": ")
+        .str(source)
+        .raw("}}");
   }
   for (const auto& e : events_) {
-    if (!first) out << ",\n";
-    first = false;
+    separate();
     // Instant event, thread scope; ts is already microseconds.
-    out << "{\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": "
-        << tids[e.source] << ", \"ts\": " << e.t << ", \"name\": ";
-    write_json_string(out, event_type_name(e.type));
-    out << ", \"args\": {";
+    buf.raw("{\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": ")
+        .integer(tids[e.source])
+        .raw(", \"ts\": ")
+        .integer(e.t)
+        .raw(", \"name\": ")
+        .str(event_type_name(e.type))
+        .raw(", \"args\": {");
     bool first_arg = true;
     for (const auto& [key, value] : e.num) {
-      if (!first_arg) out << ", ";
+      if (!first_arg) buf.raw(", ");
       first_arg = false;
-      write_json_string(out, key);
-      out << ": ";
-      write_json_number(out, value);
+      buf.str(key).raw(": ").num(value);
     }
     for (const auto& [key, value] : e.str) {
-      if (!first_arg) out << ", ";
+      if (!first_arg) buf.raw(", ");
       first_arg = false;
-      write_json_string(out, key);
-      out << ": ";
-      write_json_string(out, value);
+      buf.str(key).raw(": ").str(value);
     }
-    out << "}}";
+    buf.raw("}}");
+    buf.spill(out);
   }
   if (dropped() > 0) {
-    if (!first) out << ",\n";
-    out << "{\"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \"tid\": 0, "
-           "\"ts\": 0, \"name\": \"TraceTruncated\", \"args\": "
-           "{\"dropped\": "
-        << dropped() << "}}";
-    first = false;
+    separate();
+    buf.raw("{\"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \"tid\": 0, "
+            "\"ts\": 0, \"name\": \"TraceTruncated\", \"args\": "
+            "{\"dropped\": ")
+        .integer(dropped())
+        .raw("}}");
   }
 }
 

@@ -25,6 +25,8 @@
 
 namespace dope::obs {
 
+class JsonBuf;
+
 /// Every structured event the simulator can emit.
 enum class EventType {
   kRequestForwarded,  // edge accepted a request and picked a backend
@@ -112,11 +114,15 @@ class TraceRecorder {
   /// thread-name metadata so Perfetto labels the rows.
   void write_chrome_trace(std::ostream& out) const;
 
-  /// Writes the body of `write_chrome_trace` — the comma-separated event
-  /// objects without the surrounding envelope — so `Hub` can append span
-  /// tracks into the same traceEvents array. `first` tracks whether a
-  /// separating comma is needed and is updated.
-  void write_chrome_body(std::ostream& out, bool& first) const;
+  /// Appends the body of `write_chrome_trace` — the comma-separated
+  /// event objects without the surrounding envelope — to `buf`, spilling
+  /// it into `out`, so `Hub` can append span tracks into the same
+  /// traceEvents array. `first` tracks whether a separating comma is
+  /// needed and is updated.
+  void write_chrome_body(std::ostream& out, JsonBuf& buf, bool& first) const;
+
+  /// Appends the `TraceTruncated` JSONL line when events were dropped.
+  void write_jsonl_trailer(JsonBuf& buf) const;
 
  private:
   TraceConfig config_;
@@ -126,8 +132,9 @@ class TraceRecorder {
   std::function<void(const TraceEvent&)> listener_;
 };
 
-/// Writes one event as its JSONL object (no trailing newline). Shared by
-/// `TraceRecorder::write_jsonl` and the hub's merged span+event export.
-void write_jsonl_event(std::ostream& out, const TraceEvent& e);
+/// Appends one event as its JSONL object (no trailing newline). Shared by
+/// `TraceRecorder::write_jsonl`, the merged span+event export and the
+/// flight recorder's trace tail.
+void write_jsonl_event(JsonBuf& buf, const TraceEvent& e);
 
 }  // namespace dope::obs

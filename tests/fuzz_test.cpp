@@ -142,6 +142,20 @@ TEST_F(FuzzTest, OracleCatchesARelaxedCap) {
   EXPECT_TRUE(report.has_check("budget_envelope")) << report.summary();
 }
 
+TEST_F(FuzzTest, MultiZoneDowntimeIsJudgedInZoneTime) {
+  // A two-zone case with a 60 W breaker: both zones trip and sit dark
+  // for most of the 90 s run, so the site-level downtime (summed over
+  // zones) exceeds one run's duration while each zone stays in range.
+  fuzz::FuzzCase fuzz_case = fuzz::ScenarioSampler{}.sample(
+      9268811993652462178ULL);
+  ASSERT_EQ(fuzz_case.config.num_zones, 2u);
+  fuzz_case.config.breaker = power::BreakerSpec{.rated = Watts{60.0}};
+  fuzz_case.config.duration = 90 * kSecond;
+  const auto report = fuzz::run_oracle(fuzz_case);
+  EXPECT_FALSE(report.has_check("slot_stats")) << report.summary();
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
 TEST_F(FuzzTest, ShrinkMinimizesTheInjectedBug) {
   fuzz::OracleOptions oracle;
   oracle.check_determinism = false;

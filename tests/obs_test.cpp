@@ -4,16 +4,25 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "obs/forensics.hpp"
 #include "obs/hub.hpp"
+#include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -150,6 +159,153 @@ TEST(Metrics, WriteJsonEmitsKeysSorted) {
   EXPECT_LT(alpha, mid);
   EXPECT_LT(mid, zeta);
   EXPECT_LT(json.find("\"budget_w\""), json.find("\"soc\""));
+}
+
+// ------------------------------------------------------------ json text
+
+std::string printf_g12(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+std::string json_number(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
+}
+
+std::string json_seconds(Time t) {
+  std::string out;
+  append_json_seconds(out, t);
+  return out;
+}
+
+std::string json_string(std::string_view s) {
+  std::string out;
+  append_json_string(out, s);
+  return out;
+}
+
+TEST(JsonText, NumberMatchesPrintfG12) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      1e-5,
+      1e-4,
+      0.1,
+      1.0 / 3.0,
+      -2.5,
+      1e15,
+      1e21,
+      9007199254740991.0,  // 2^53 - 1
+      9007199254740992.0,  // 2^53
+      9007199254740993.0,  // 2^53 + 1 (rounds to 2^53)
+      999999999999.0,      // 12 digits: the last fixed-notation integer
+      1e12,
+      123456789012.5,
+  };
+  // Integral payload values: counts, watts, ids, microsecond times.
+  for (int i = 0; i <= 1000; ++i) values.push_back(i);
+  for (double p = 1.0; p < 1e12; p *= 10.0) {
+    values.push_back(p);
+    values.push_back(p - 1.0);
+    values.push_back(p + 1.0);
+  }
+  values.push_back(4294967295.0);   // 2^32 - 1
+  values.push_back(2147483648.0);   // 2^31
+  values.push_back(1'000'001.0);    // attack source ids
+  // Seed-fixed random doubles: half arbitrary bit patterns (every
+  // exponent, subnormals included), half at payload magnitudes.
+  Rng rng(20191);
+  for (int drawn = 0; drawn < 10'000;) {
+    const double bits = std::bit_cast<double>(rng());
+    if (!std::isfinite(bits)) continue;
+    values.push_back(drawn % 2 == 0 ? bits : rng.uniform(-1e6, 1e6));
+    ++drawn;
+  }
+  for (const double v : values) {
+    ASSERT_EQ(json_number(v), printf_g12(v))
+        << "bits " << std::hex << std::bit_cast<std::uint64_t>(v);
+    ASSERT_EQ(json_number(-v), printf_g12(-v));
+  }
+}
+
+TEST(JsonText, NonFiniteNumbersBecomeNull) {
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  std::ostringstream out;
+  write_json_number(out, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(out.str(), "null");
+}
+
+TEST(JsonText, SecondsMatchTheDoublePath) {
+  std::vector<Time> times = {0,
+                             1,
+                             99,
+                             100,
+                             999'999,
+                             1'000'000,
+                             1'000'001,
+                             99'999'999'999,
+                             100'000'000'000,
+                             -5};
+  Rng rng(7);
+  for (int i = 0; i < 10'000; ++i) {
+    times.push_back(rng.uniform_int(-1000, 200'000'000'000));
+  }
+  for (Time t = 0; t < 3'000; ++t) times.push_back(t);
+  for (const Time t : times) {
+    ASSERT_EQ(json_seconds(t), json_number(to_seconds(t))) << "t=" << t;
+  }
+  EXPECT_EQ(json_seconds(1'500'000), "1.5");
+  EXPECT_EQ(json_seconds(100), "0.0001");
+  EXPECT_EQ(json_seconds(99), "9.9e-05");
+}
+
+TEST(JsonText, EscaperQuotesSpecialsAndPassesUtf8Through) {
+  EXPECT_EQ(json_string(""), "\"\"");
+  EXPECT_EQ(json_string("plain text"), "\"plain text\"");
+  EXPECT_EQ(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json_string("l1\nl2\r\tx"), "\"l1\\nl2\\r\\tx\"");
+  EXPECT_EQ(json_string("caf\xc3\xa9 \xe2\x82\xac"),
+            "\"caf\xc3\xa9 \xe2\x82\xac\"");
+  EXPECT_EQ(json_string("\x7f"), "\"\x7f\"");
+  for (int c = 0; c < 0x20; ++c) {
+    if (c == '\n' || c == '\r' || c == '\t') continue;
+    std::string in = "x";
+    in += static_cast<char>(c);
+    in += 'y';
+    char expected[16];
+    std::snprintf(expected, sizeof(expected), "\"x\\u%04xy\"", c);
+    EXPECT_EQ(json_string(in), expected) << "byte " << c;
+  }
+  // The ostream overload is the same escaper.
+  std::ostringstream out;
+  write_json_string(out, std::string_view("q\"\0", 3));
+  EXPECT_EQ(out.str(), "\"q\\\"\\u0000\"");
+}
+
+TEST(JsonText, BufferSpillsOnlyWholeBlocks) {
+  std::ostringstream out;
+  JsonBuf buf;
+  buf.raw("{").integer(-42).raw(',').integer(std::uint64_t{255}, 16);
+  buf.raw(',').num(0.5).raw(',').seconds(2'000'000).raw(',').str("k");
+  buf.spill(out);
+  EXPECT_EQ(out.str(), "");  // less than a block pending
+  buf.raw('}');
+  buf.flush(out);
+  EXPECT_EQ(out.str(), "{-42,ff,0.5,2,\"k\"}");
+  for (std::size_t i = 0; i < JsonBuf::kBlockBytes; ++i) buf.raw('x');
+  buf.spill(out);
+  EXPECT_EQ(out.str().size(), 18 + JsonBuf::kBlockBytes);
 }
 
 // ------------------------------------------------------------------ trace
@@ -452,6 +608,159 @@ TEST(Spans, JsonlRecordsCarrySchemaFields) {
   EXPECT_NE(text.find("\"kind\": \"service\""), std::string::npos);
   EXPECT_NE(text.find("\"power_w\": 21"), std::string::npos);
   EXPECT_NE(text.find("\"outcome\": \"completed\""), std::string::npos);
+}
+
+// ---------------------------------------------------------- merged export
+
+Span make_span(std::uint64_t request, SpanKind kind, Time begin) {
+  Span span;
+  span.id = span_id_for(request, kind);
+  span.kind = kind;
+  span.begin = begin;
+  return span;
+}
+
+/// The merged export as materialise-and-sort: every record tagged with
+/// (t, stream), stable-sorted, then written. Reference for
+/// `write_merged_jsonl`.
+std::string reference_merge(const std::vector<TraceEvent>& events,
+                            const std::vector<Span>& spans) {
+  struct Entry {
+    Time t;
+    int stream;  // 0 = event, 1 = begin, 2 = end
+    std::size_t idx;
+  };
+  std::vector<Entry> entries;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    entries.push_back({events[i].t, 0, i});
+  }
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    entries.push_back({spans[i].begin, 1, i});
+    if (!spans[i].open()) entries.push_back({spans[i].end, 2, i});
+  }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) {
+                     if (a.t != b.t) return a.t < b.t;
+                     return a.stream < b.stream;
+                   });
+  JsonBuf buf;
+  for (const Entry& entry : entries) {
+    switch (entry.stream) {
+      case 0: write_jsonl_event(buf, events[entry.idx]); break;
+      case 1: write_span_begin_jsonl(buf, spans[entry.idx]); break;
+      default: write_span_end_jsonl(buf, spans[entry.idx]); break;
+    }
+    buf.raw('\n');
+  }
+  std::ostringstream out;
+  buf.flush(out);
+  return out.str();
+}
+
+/// One word per JSONL line, space-separated: t_us, then "b"/"e" and the
+/// span id for SpanBegin/SpanEnd, else the event's source.
+std::string line_keys(const std::string& jsonl) {
+  std::string keys;
+  std::istringstream in(jsonl);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto field = [&](const std::string& key) {
+      const auto at = line.find("\"" + key + "\": ");
+      if (at == std::string::npos) return std::string();
+      const auto from = at + key.size() + 4;
+      return line.substr(from, line.find_first_of(",}", from) - from);
+    };
+    const std::string type = field("type");
+    if (!keys.empty()) keys += ' ';
+    keys += field("t_us");
+    if (type == "\"SpanBegin\"") {
+      keys += 'b';
+      keys += field("span_id");
+    } else if (type == "\"SpanEnd\"") {
+      keys += 'e';
+      keys += field("span_id");
+    } else {
+      const std::string source = field("source");
+      keys += source.substr(1, source.size() - 2);
+    }
+  }
+  return keys;
+}
+
+TEST(MergedExport, EqualTimesOrderEventsThenBeginsThenEnds) {
+  Hub hub(HubConfig{.enable_spans = true});
+  SpanTracer& spans = *hub.spans();
+  spans.begin(make_span(1, SpanKind::kRequest, 5));   // id 8, ends at 10
+  spans.begin(make_span(2, SpanKind::kRequest, 10));  // id 16, ends at 10
+  hub.event(make_event(10, EventType::kRequestForwarded, "edge"));
+  spans.instant(make_span(2, SpanKind::kFirewall, 0), 10);  // id 17
+  spans.end(span_id_for(2, SpanKind::kRequest), 10, "completed");
+  spans.end(span_id_for(1, SpanKind::kRequest), 10, "completed");
+  hub.event(make_event(10, EventType::kBudgetViolation, "cluster"));
+  spans.begin(make_span(3, SpanKind::kRequest, 12));  // id 24, stays open
+
+  std::ostringstream out;
+  hub.write_trace_jsonl(out);
+  EXPECT_EQ(line_keys(out.str()),
+            "5b8 10edge 10cluster 10b16 10b17 10e8 10e16 10e17 12b24");
+  EXPECT_EQ(out.str(), reference_merge(hub.trace().events(), spans.spans()));
+}
+
+TEST(MergedExport, EventRecordedOutOfTimeOrderIsSortedIn) {
+  Hub hub(HubConfig{.enable_spans = true});
+  SpanTracer& spans = *hub.spans();
+  spans.begin(make_span(1, SpanKind::kRequest, 10));
+  hub.event(make_event(20, EventType::kRequestForwarded, "edge"));
+  // A watchdog fed by hand at an older time records behind the clock.
+  hub.event(make_event(10, EventType::kAlertRaised, "watchdog"));
+  hub.event(make_event(5, EventType::kAlertCleared, "watchdog"));
+  spans.end(span_id_for(1, SpanKind::kRequest), 20, "completed");
+
+  std::ostringstream out;
+  hub.write_trace_jsonl(out);
+  EXPECT_EQ(line_keys(out.str()), "5watchdog 10watchdog 10b8 20edge 20e8");
+  EXPECT_EQ(out.str(), reference_merge(hub.trace().events(), spans.spans()));
+}
+
+TEST(MergedExport, MatchesMaterialiseAndSortOnRandomStreams) {
+  Rng rng(11);
+  for (int round = 0; round < 50; ++round) {
+    Hub hub(HubConfig{.enable_spans = true});
+    SpanTracer& spans = *hub.spans();
+    const bool shuffled = round % 5 == 4;  // out-of-order rounds
+    Time now = 0;
+    std::vector<std::uint64_t> open;
+    for (std::uint64_t i = 1; i <= 200; ++i) {
+      now += static_cast<Time>(rng() % 3);  // many equal timestamps
+      const Time t = shuffled ? static_cast<Time>(rng() % 300) : now;
+      switch (rng() % 4) {
+        case 0:
+          hub.event(make_event(t, EventType::kRequestForwarded, "edge"));
+          break;
+        case 1: spans.instant(make_span(i, SpanKind::kLbPick, 0), t); break;
+        case 2:
+          spans.begin(make_span(i, SpanKind::kQueue, t));
+          open.push_back(span_id_for(i, SpanKind::kQueue));
+          break;
+        default:
+          if (!open.empty()) {
+            const std::size_t k = rng() % open.size();
+            spans.end(open[k], now + static_cast<Time>(rng() % 5), "done");
+            open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+          }
+      }
+    }
+    std::ostringstream out;
+    hub.write_trace_jsonl(out);
+    ASSERT_EQ(out.str(),
+              reference_merge(hub.trace().events(), spans.spans()))
+        << "round " << round;
+    // The stand-alone span export is the same merge with no events.
+    std::ostringstream alone;
+    spans.write_jsonl(alone);
+    ASSERT_EQ(alone.str(), reference_merge({}, spans.spans()))
+        << "round " << round;
+  }
 }
 
 TEST(Trace, SetMaxEventsTightensCapAtRuntime) {

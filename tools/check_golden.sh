@@ -4,7 +4,10 @@
 # Runs the CI golden scenario (Anti-DOPE, Low budget, 400 rps flood,
 # 2-minute battery, seed 42 — the same configuration as
 # tests/determinism_test.cpp) and cmp's every export surface against the
-# pre-refactor captures in tests/golden/. Any refactor that claims
+# pre-refactor captures in tests/golden/. The span-merged JSONL trace,
+# the Chrome trace, the forensics rollup and the incident bundle are
+# too large to commit, so their sha256 sums sit in
+# tests/golden/exports.sha256 instead. Any refactor that claims
 # "performance/typing changes, results do not" (the event-core rewrite,
 # the Quantity<Dim> units migration) must keep this green: a single
 # changed byte means the arithmetic — not just the types — changed.
@@ -62,9 +65,24 @@ compare "$tmp/att-power.csv" "$golden/engine_refactor_power.csv"
 compare "$tmp/att-soc.csv" "$golden/engine_refactor_soc.csv"
 compare "$tmp/att-metrics.json" "$golden/engine_refactor_metrics.json"
 
+# The span-merged exports: the same scenario with request spans, once
+# as JSONL and once with the Chrome trace, forensics and incident bundle.
+"$cli" --scheme antidope --budget low --attack-rps 400 --duration-s 60 \
+  --seed 42 --battery-min 2 --spans --trace-out "$tmp/spans-trace.jsonl" \
+  > /dev/null
+"$cli" --scheme antidope --budget low --attack-rps 400 --duration-s 60 \
+  --seed 42 --battery-min 2 --spans --alerts \
+  --forensics-out "$tmp/forensics.json" \
+  --trace-out "$tmp/chrome-trace.json" \
+  --incidents-out "$tmp/incidents.json" > /dev/null
+if ! (cd "$tmp" && sha256sum --quiet -c "$golden/exports.sha256"); then
+  echo "check_golden: MISMATCH: exports.sha256" >&2
+  status=1
+fi
+
 if [[ "$status" -ne 0 ]]; then
   echo "check_golden: exports drifted from tests/golden/ captures" >&2
   exit 1
 fi
-echo "check_golden: all 5 export surfaces byte-identical" \
+echo "check_golden: all 9 export surfaces byte-identical" \
   "(detached and with the flight recorder attached)"
