@@ -285,6 +285,21 @@ TEST(AntiDope, BringsDemandWithinBudget) {
             rig.cluster->budget() * 1.10);
 }
 
+TEST(AntiDope, LastResortHoldsABudgetTheSuspectFloorCannotMeet) {
+  // At 360 W the throttled suspect pool alone cannot close the deficit:
+  // Algorithm 1's last resort must take the rest from the innocent pool,
+  // so violations stay confined to the few slots the DVFS latency costs.
+  AntiDopeConfig config;
+  config.per_node_throttling = true;
+  AntiDopeRig rig(power::BudgetLevel::kLow, config,
+                  /*budget_override=*/Watts{360.0});
+  rig.start_traffic(300.0, 500.0, Catalog::kWordCount);
+  rig.cluster->run_for(2 * kMinute);
+  const auto& stats = rig.cluster->slot_stats();
+  ASSERT_GT(stats.slots, 0u);
+  EXPECT_LE(stats.violation_slots, stats.slots / 10);
+}
+
 TEST(AntiDope, NormalLatencyStaysNearBaselineUnderDope) {
   // The headline property: legitimate users barely notice the attack.
   AntiDopeRig rig;

@@ -190,6 +190,30 @@ TEST(GradedAntiDope, ThrottlesHeaviestPoolFirstUnderDeficit) {
   EXPECT_EQ(rig.scheme->pool_level(0), rig.cluster->ladder().max_level());
 }
 
+TEST(GradedAntiDope, LightestPoolGivesWhenHeavyFloorsCannotFit) {
+  // Both heavy pools saturated: even at the ladder floor they and the
+  // idle light pool exceed 300 W, so the cascade must reach class 0.
+  GradedRig rig(/*budget_override=*/Watts{300.0});
+  workload::GeneratorConfig attack;
+  attack.mixture = workload::Mixture::single(Catalog::kCollaFilt);
+  attack.rate_rps = 300.0;
+  attack.num_sources = 64;
+  attack.source_base = 1'000'000;
+  attack.ground_truth_attack = true;
+  workload::TrafficGenerator attack_gen(rig.engine, rig.catalog, attack,
+                                        rig.cluster->edge_sink());
+  workload::GeneratorConfig mid = attack;
+  mid.mixture = workload::Mixture::single(Catalog::kWordCount);
+  mid.source_base = 2'000'000;
+  mid.seed = 31;
+  workload::TrafficGenerator mid_gen(rig.engine, rig.catalog, mid,
+                                     rig.cluster->edge_sink());
+  rig.cluster->run_for(kMinute);
+  EXPECT_EQ(rig.scheme->pool_level(2), rig.cluster->ladder().min_level());
+  EXPECT_EQ(rig.scheme->pool_level(1), rig.cluster->ladder().min_level());
+  EXPECT_LT(rig.scheme->pool_level(0), rig.cluster->ladder().max_level());
+}
+
 TEST(GradedAntiDope, ValidatesConfig) {
   // Three power classes need at least one server each.
   sim::Engine engine;
