@@ -15,8 +15,8 @@
 #include <memory>
 #include <utility>
 
+#include "antidope/oracle.hpp"
 #include "bench/bench_util.hpp"
-#include "schemes/oracle.hpp"
 #include "schemes/rapl_capping.hpp"
 
 using namespace dope;
@@ -153,7 +153,7 @@ DOPE_BENCH_FIGURE(ablation_antidope, "Ablation", "Anti-DOPE design choices") {
       [] { return std::make_unique<schemes::RaplCappingScheme>(); });
   const auto antidope = scenario::run_scenario(base());
   const auto oracle =
-      run_stage([] { return std::make_unique<schemes::OracleScheme>(); });
+      run_stage([] { return std::make_unique<antidope::OracleScheme>(); });
   TextTable d({"scheme", "mean (ms)", "p90 (ms)", "availability"});
   d.row("Capping (uniform)", uniform.mean_ms, uniform.p90_ms,
         uniform.availability);
@@ -175,33 +175,19 @@ DOPE_BENCH_FIGURE(ablation_antidope, "Ablation", "Anti-DOPE design choices") {
           oracle.availability >= antidope.availability &&
           oracle.p90_ms < 2.0 * antidope.p90_ms + 10.0);
 
-  // ---- (e) uniform vs per-node DPM throttling ----
-  std::cout << "\n(e) Algorithm 1 throttling search: uniform level vs "
-               "per-node TL(p,q)\n";
-  sweep::GridSpec grid_e;
-  grid_e.base = base();
-  grid_e.base.budget_override = Watts{8 * 100.0 * 0.55};  // active throttle
-  grid_e.variants = {
-      {"uniform", {}},
-      {"per-node", [](scenario::ScenarioConfig& cfg) {
-         cfg.antidope.per_node_throttling = true;
-       }}};
-  const auto runs_e = figure.run_grid(grid_e);
-  const auto& uniform_dpm = runs_e[0];
-  const auto& per_node_dpm = runs_e[1];
+  // ---- (e) Algorithm 1 under a budget only DPM can meet ----
+  std::cout << "\n(e) Algorithm 1 throttling search TL(p,q) at 440 W\n";
+  auto dpm_config = base();
+  dpm_config.budget_override = Watts{8 * 100.0 * 0.55};  // active throttle
+  const auto dpm = scenario::run_scenario(dpm_config);
   TextTable e({"DPM search", "mean (ms)", "p90 (ms)", "availability",
                "violation slots"});
-  e.row("uniform level", uniform_dpm.mean_ms, uniform_dpm.p90_ms,
-        uniform_dpm.availability,
-        static_cast<long long>(uniform_dpm.slot_stats.violation_slots));
-  e.row("per-node TL(p,q)", per_node_dpm.mean_ms, per_node_dpm.p90_ms,
-        per_node_dpm.availability,
-        static_cast<long long>(per_node_dpm.slot_stats.violation_slots));
+  e.row("per-node TL(p,q)", dpm.mean_ms, dpm.p90_ms, dpm.availability,
+        static_cast<long long>(dpm.slot_stats.violation_slots));
   e.print(std::cout);
   figure.shape(
-      "per-node DPM enforces the budget at least as well as uniform "
-      "while serving normal users no worse",
-      per_node_dpm.slot_stats.violation_slots <=
-              uniform_dpm.slot_stats.violation_slots + 30 &&
-          per_node_dpm.p90_ms < 2.0 * uniform_dpm.p90_ms + 10.0);
+      "DPM holds the budget in all but 10 % of slots while serving normal "
+      "users near the unthrottled Anti-DOPE p90",
+      dpm.slot_stats.violation_slots * 10 <= dpm.slot_stats.slots &&
+          dpm.p90_ms < 2.0 * antidope.p90_ms + 10.0);
 }

@@ -7,10 +7,10 @@
 //   RPM  (power side)    — on a budget violation, run Differentiated
 //                          Power Management (Algorithm 1): let the battery
 //                          bridge the actuation transient, then throttle
-//                          the *suspect pool only*, searching the DVFS
-//                          ladder for the highest level satisfying
-//                          Σ qᵢ·Pᵢ(f) ≤ B₀ (Eq. 1). The innocent pool is
-//                          touched only as a last resort.
+//                          the *suspect pool only*, searching per-node
+//                          levels TL(p,q) satisfying Σ qᵢ·Pᵢ(f) ≤ B₀
+//                          (Eq. 1). The innocent pool is touched only as
+//                          a last resort (`PooledDpm`, dpm.hpp).
 //
 // The result: a DOPE flood saturates and throttles the suspect pool while
 // legitimate (mostly low-power) traffic keeps its full frequency — 44 %
@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 
+#include "antidope/dpm.hpp"
 #include "antidope/online_classifier.hpp"
 #include "antidope/pdf.hpp"
 #include "antidope/suspect_list.hpp"
@@ -33,8 +34,6 @@ class Hub;
 }  // namespace dope::obs
 
 namespace dope::antidope {
-
-struct SolveStats;  // dpm.hpp
 
 /// Anti-DOPE tuning parameters.
 struct AntiDopeConfig {
@@ -50,9 +49,6 @@ struct AntiDopeConfig {
   /// Learn per-URL power online from node telemetry and keep the suspect
   /// list current — catches attack URLs that were never profiled offline.
   bool online_learning = false;
-  /// Solve Algorithm 1's heterogeneous throttling list TL(p,q) per node
-  /// (greedy watts-per-hertz) instead of one uniform suspect-pool level.
-  bool per_node_throttling = false;
 };
 
 /// The Anti-DOPE power scheme; install into a Cluster.
@@ -68,28 +64,27 @@ class AntiDopeScheme final : public cluster::ControlStage {
 
   const PdfRouter& router() const { return *router_; }
   const SuspectList& suspects() const { return router_->suspects(); }
-  std::size_t suspect_pool_size() const { return suspect_nodes_.size(); }
+  std::size_t suspect_pool_size() const {
+    return dpm_.value().levels(0).size();
+  }
 
   /// Watts the battery delivered in the most recent slot (telemetry).
   Watts last_battery_power() const { return last_battery_power_; }
-  /// Current suspect-pool throttling level.
-  power::DvfsLevel suspect_level() const { return suspect_target_; }
-  /// Current innocent-pool level (max unless last-resort throttling hit).
-  power::DvfsLevel innocent_level() const { return innocent_target_; }
+  /// Lowest suspect-pool level.
+  power::DvfsLevel suspect_level() const { return dpm_.value().level(0); }
+  /// Lowest innocent-pool level (max unless last-resort throttling hit).
+  power::DvfsLevel innocent_level() const { return dpm_.value().level(1); }
 
   /// The online classifier, when enabled (nullptr otherwise).
   const OnlineClassifier* classifier() const { return classifier_.get(); }
 
  private:
-  void trace_throttle(Time now, Watts deficit, const char* mode,
-                      const SolveStats* stats) const;
+  void trace_throttle(Time now, const DpmSlot& slot) const;
 
   AntiDopeConfig config_;
   std::unique_ptr<PdfRouter> router_;
-  std::vector<server::ServerNode*> suspect_nodes_;
-  std::vector<server::ServerNode*> innocent_nodes_;
-  power::DvfsLevel suspect_target_ = 0;
-  power::DvfsLevel innocent_target_ = 0;
+  /// Pools [suspect, innocent].
+  std::optional<PooledDpm> dpm_;
   Watts last_battery_power_{0.0};
   std::unique_ptr<OnlineClassifier> classifier_;
   obs::Hub* hub_ = nullptr;

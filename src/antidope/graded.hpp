@@ -11,13 +11,14 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "antidope/dpm.hpp"
 #include "antidope/power_classes.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/stage.hpp"
 #include "net/load_balancer.hpp"
-#include "schemes/util.hpp"
 
 namespace dope::antidope {
 
@@ -32,23 +33,23 @@ class GradedAntiDopeScheme final : public cluster::ControlStage {
 
   const PowerClassifier& classifier() const { return *classifier_; }
   std::size_t pool_size(std::size_t c) const {
-    return pools_[c].nodes.size();
+    return dpm_.value().levels(dpm_pool(c)).size();
   }
+  /// Lowest level in class `c`'s pool.
   power::DvfsLevel pool_level(std::size_t c) const {
-    return pools_[c].target;
+    return dpm_.value().level(dpm_pool(c));
   }
 
  private:
-  struct Pool {
-    std::vector<server::ServerNode*> nodes;
-    std::unique_ptr<net::LoadBalancer> balancer;
-    power::DvfsLevel target = 0;
-  };
+  /// DPM throttles heaviest class first: class c is DPM pool n-1-c.
+  std::size_t dpm_pool(std::size_t c) const {
+    return balancers_.size() - 1 - c;
+  }
 
   std::unique_ptr<PowerClassifier> classifier_;
-  /// pools_[c] serves power class c (0 = lightest).
-  std::vector<Pool> pools_;
-  Watts last_battery_power_{0.0};
+  /// balancers_[c] serves power class c (0 = lightest).
+  std::vector<std::unique_ptr<net::LoadBalancer>> balancers_;
+  std::optional<PooledDpm> dpm_;
 };
 
 }  // namespace dope::antidope

@@ -8,14 +8,15 @@
 // heavy requests sharing the suspect pool. Used by the ablation benches.
 #pragma once
 
-#include <vector>
+#include <memory>
+#include <optional>
 
+#include "antidope/dpm.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/stage.hpp"
 #include "net/load_balancer.hpp"
-#include "schemes/util.hpp"
 
-namespace dope::schemes {
+namespace dope::antidope {
 
 /// Perfect-knowledge isolation + differentiated throttling.
 class OracleScheme final : public cluster::ControlStage {
@@ -31,11 +32,10 @@ class OracleScheme final : public cluster::ControlStage {
 
  private:
   double isolation_fraction_;
-  std::vector<server::ServerNode*> isolated_nodes_;
-  std::vector<server::ServerNode*> clean_nodes_;
   std::unique_ptr<net::LoadBalancer> isolated_lb_;
   std::unique_ptr<net::LoadBalancer> clean_lb_;
-  power::DvfsLevel isolated_target_ = 0;
+  /// Pools [isolated, clean].
+  std::optional<PooledDpm> dpm_;
 };
 
-}  // namespace dope::schemes
+}  // namespace dope::antidope

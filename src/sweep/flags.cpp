@@ -61,7 +61,6 @@ scheme
   --scheme NAME        none | capping | shaving | token | antidope
                        (default antidope)
   --online             Anti-DOPE: learn the suspect list online
-  --per-node           Anti-DOPE: per-node DPM throttling (TL(p,q))
   --pool-fraction F    Anti-DOPE: suspect pool share (default 0.25)
 
 traffic
@@ -121,8 +120,6 @@ bool read_scenario_flag(cli::ArgCursor& args,
     config.scheme = parse_scheme(args.value());
   } else if (flag == "--online") {
     config.antidope.online_learning = true;
-  } else if (flag == "--per-node") {
-    config.antidope.per_node_throttling = true;
   } else if (flag == "--pool-fraction") {
     config.antidope.suspect_pool_fraction = args.number();
   } else if (flag == "--normal-rps") {

@@ -51,7 +51,7 @@ struct AttackProfile {
 };
 
 /// One variant axis entry: a named config mutation (pool fraction, slot
-/// length, per-node DPM, ...). Applied after the other axes, so it may
+/// length, suspect threshold, ...). Applied after the other axes, so it may
 /// override them. Variants are code, not data — the `dopesweep` CLI only
 /// builds grids over the declarative axes.
 struct Variant {

@@ -289,9 +289,7 @@ TEST(AntiDope, LastResortHoldsABudgetTheSuspectFloorCannotMeet) {
   // At 360 W the throttled suspect pool alone cannot close the deficit:
   // Algorithm 1's last resort must take the rest from the innocent pool,
   // so violations stay confined to the few slots the DVFS latency costs.
-  AntiDopeConfig config;
-  config.per_node_throttling = true;
-  AntiDopeRig rig(power::BudgetLevel::kLow, config,
+  AntiDopeRig rig(power::BudgetLevel::kLow, {},
                   /*budget_override=*/Watts{360.0});
   rig.start_traffic(300.0, 500.0, Catalog::kWordCount);
   rig.cluster->run_for(2 * kMinute);

@@ -161,7 +161,6 @@ scenario::ScenarioConfig stressed_config() {
   config.num_servers = 4;
   config.budget = power::BudgetLevel::kLow;
   config.scheme = scenario::SchemeKind::kAntiDope;
-  config.antidope.per_node_throttling = true;
   config.firewall.emplace();
   config.breaker = power::BreakerSpec{.rated = Watts{900.0}};
   config.attack_rps = 400.0;

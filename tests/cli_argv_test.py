@@ -42,6 +42,7 @@ CASES = {
         ["--alert-hysteresis", "3:-1"],
         ["--scheme", "bogus"],
         ["--servers", "0", "--duration-s", "1"],
+        ["--per-node"],  # removed; one DPM solve is left
     ],
     "dopesweep": COMMON + [
         ["--threads"],
@@ -53,6 +54,7 @@ CASES = {
         ["--zones", "2", "--attack-zone", "-2"],
         ["--live-interval-ms", "0"],
         ["--agents", "1.5"],
+        ["--per-node"],  # removed; one DPM solve is left
     ],
     "dopefuzz": COMMON + [
         ["--cases"],

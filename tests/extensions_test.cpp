@@ -6,8 +6,8 @@
 
 #include "antidope/antidope.hpp"
 #include "antidope/online_classifier.hpp"
+#include "antidope/oracle.hpp"
 #include "cluster/cluster.hpp"
-#include "schemes/oracle.hpp"
 #include "schemes/rapl_capping.hpp"
 #include "server/rapl.hpp"
 #include "workload/generator.hpp"
@@ -249,7 +249,7 @@ TEST(Oracle, QuarantinesAttackTrafficPerfectly) {
   cc.num_servers = 8;
   cc.budget_level = power::BudgetLevel::kLow;
   cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(std::make_unique<schemes::OracleScheme>());
+  cluster.install_scheme(std::make_unique<antidope::OracleScheme>());
 
   workload::GeneratorConfig attack;
   attack.mixture = workload::Mixture::single(Catalog::kKMeans);
@@ -275,7 +275,7 @@ TEST(Oracle, LegitimateHeavyRequestsAreUnaffected) {
   cluster::ClusterConfig cc;
   cc.num_servers = 8;
   cluster::Cluster cluster(engine, catalog, cc);
-  cluster.install_scheme(std::make_unique<schemes::OracleScheme>());
+  cluster.install_scheme(std::make_unique<antidope::OracleScheme>());
   workload::Request legit;
   legit.type = Catalog::kCollaFilt;
   legit.ground_truth_attack = false;
@@ -286,8 +286,8 @@ TEST(Oracle, LegitimateHeavyRequestsAreUnaffected) {
 }
 
 TEST(Oracle, ValidatesConfig) {
-  EXPECT_THROW(schemes::OracleScheme(0.0), std::invalid_argument);
-  EXPECT_THROW(schemes::OracleScheme(1.0), std::invalid_argument);
+  EXPECT_THROW(antidope::OracleScheme(0.0), std::invalid_argument);
+  EXPECT_THROW(antidope::OracleScheme(1.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------- per-node capping

@@ -21,6 +21,7 @@
 #include "common/log.hpp"
 #include "fuzz/repro.hpp"
 #include "obs/live.hpp"
+#include "power/power_model.hpp"
 
 namespace dope {
 namespace {
@@ -256,6 +257,33 @@ TEST_F(FuzzTest, SiteCasesSampleValidAndRoundTripByteExactly) {
     fuzz::write_repro(second, loaded);
     EXPECT_EQ(first.str(), second.str()) << "seed " << seed;
   }
+}
+
+TEST_F(FuzzTest, SiteBreakersAreRatedAgainstOneZonesBudget) {
+  // The breaker is drawn while the case is still one zone (zones are
+  // sampled last, so single-zone cases keep their draws), so its rating
+  // scales one zone's level budget. Every zone gets that breaker, so the
+  // scale is the right one: some ratings sit below a zone's nameplate,
+  // where a flood that drives one zone to its peak can trip it.
+  const fuzz::ScenarioSampler sampler;
+  std::size_t breakers = 0;
+  std::size_t trippable = 0;
+  for (std::uint64_t seed = 0; breakers < 8; ++seed) {
+    ASSERT_LT(seed, 2000u) << "too few multi-zone cases with a breaker";
+    const auto config =
+        sampler.sample(fuzz::ScenarioSampler::derive_case_seed(9, seed))
+            .config;
+    if (config.num_zones == 1 || !config.breaker.has_value()) continue;
+    ++breakers;
+    auto one_zone = config;
+    one_zone.num_zones = 1;
+    const Watts zone_budget = fuzz::expected_budget(one_zone);
+    const Watts zone_nameplate = power::ServerPowerSpec{}.nameplate *
+                                 static_cast<double>(config.num_servers);
+    EXPECT_LE(config.breaker->rated, zone_budget * 1.45) << "seed " << seed;
+    if (config.breaker->rated < zone_nameplate) ++trippable;
+  }
+  EXPECT_GT(trippable, 0u);
 }
 
 TEST_F(FuzzTest, PreSiteReproFilesParseAsSingleZone) {
