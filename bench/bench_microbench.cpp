@@ -1,9 +1,16 @@
 // Google-benchmark microbenchmarks of the simulator's hot paths: event
-// engine throughput, server queueing, generator arrival scheduling, and
+// engine throughput, server queueing, generator arrival scheduling, the
+// per-request network path (least-loaded pick, firewall admit), and
 // end-to-end scenario cost. These bound how large a cluster/window the
 // harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "net/firewall.hpp"
+#include "net/load_balancer.hpp"
 #include "scenario/scenario.hpp"
 #include "server/node.hpp"
 #include "sim/engine.hpp"
@@ -146,6 +153,65 @@ void BM_DvfsRetiming(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DvfsRetiming);
+
+void BM_LeastLoadedSelect(benchmark::State& state) {
+  // One least-loaded pick over a pool of real nodes at mixed loads: 8 is
+  // a standalone cluster, 25 and 75 the suspect and innocent pools of a
+  // 100-server Anti-DOPE zone (site-10x100).
+  const auto n = static_cast<int>(state.range(0));
+  const auto catalog = workload::Catalog::standard();
+  const auto ladder = power::DvfsLadder::make();
+  sim::Engine engine;
+  std::vector<std::unique_ptr<server::ServerNode>> nodes;
+  std::vector<net::Backend*> pool;
+  for (int i = 0; i < n; ++i) {
+    nodes.push_back(std::make_unique<server::ServerNode>(
+        engine, i, catalog, power::ServerPowerModel({}, ladder),
+        server::ServerConfig{},
+        [](const workload::RequestRecord&) {}));
+    // Loads 1..7 (cores plus queue), the least loaded near the end.
+    for (int k = 0; k < 1 + (n - i + 3) % 7; ++k) {
+      workload::Request r;
+      r.type = workload::Catalog::kCollaFilt;
+      nodes.back()->submit(std::move(r));
+    }
+    if (i % 9 == 4) nodes.back()->set_accepting(false);
+    pool.push_back(nodes.back().get());
+  }
+  net::LoadBalancer lb(net::LbPolicy::kLeastLoaded, pool);
+  const workload::Request request;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lb.select(request));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LeastLoadedSelect)->Arg(8)->Arg(25)->Arg(75);
+
+void BM_FirewallAdmit(benchmark::State& state) {
+  // Per-request firewall admit over site-10x100's 896 sources: 256
+  // normal clients and 640 DOPE agents (ids from 1,000,000), in a
+  // seeded random order. The engine never advances, so no poll runs.
+  std::vector<workload::SourceId> sources;
+  for (workload::SourceId s = 0; s < 256; ++s) sources.push_back(s);
+  for (workload::SourceId s = 0; s < 640; ++s) {
+    sources.push_back(1'000'000 + s);
+  }
+  Rng rng(42);
+  std::vector<workload::Request> stream(4'096);
+  for (auto& r : stream) {
+    r.source = sources[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(sources.size()) - 1))];
+  }
+  sim::Engine engine;
+  net::Firewall firewall(engine, net::FirewallConfig{});
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(firewall.admit(stream[next]));
+    next = (next + 1) % stream.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FirewallAdmit);
 
 void BM_ScenarioMinute(benchmark::State& state) {
   // End-to-end cost of one simulated minute of the evaluation cluster.

@@ -314,6 +314,20 @@ bool check_non_negative(Hub hub, Time t, std::string_view what,
   return false;
 }
 
+/// A backend's published load-balancing key must match the state it was
+/// published from: a stale key steers least-loaded picks to the wrong
+/// node without any other symptom.
+template <typename Hub>
+bool check_lb_key(Hub hub, Time t, int server, std::uint32_t published,
+                  std::uint32_t expected) {
+  if (published == expected) return true;
+  std::ostringstream msg;
+  msg << "server " << server << " publishes lb key " << published
+      << " but its state implies " << expected;
+  report(hub, t, "lb_key", msg.str());
+  return false;
+}
+
 /// Engine time must never move backwards.
 template <typename Hub>
 bool check_monotonic_time(Hub hub, Time now, Time next) {

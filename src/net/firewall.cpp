@@ -1,9 +1,9 @@
 #include "net/firewall.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/expect.hpp"
 #include "common/log.hpp"
@@ -50,9 +50,42 @@ bool Firewall::admit(const workload::Request& request) {
     if (obs_blocked_ != nullptr) obs_blocked_->inc();
     return false;
   }
-  ++window_counts_[request.source];
+  if (2 * (window_used_ + 1) > window_.size()) grow_window();
+  WindowCell& cell = window_[window_slot(request.source)];
+  if (cell.count == 0) {
+    cell.source = request.source;
+    ++window_used_;
+  }
+  ++cell.count;
   if (obs_admitted_ != nullptr) obs_admitted_->inc();
   return true;
+}
+
+std::size_t Firewall::window_slot(workload::SourceId source) const {
+  // Fibonacci hashing: the top bits of a golden-ratio multiply spread
+  // sequential agent ids over the table. The table is never full, so
+  // the probe always ends.
+  const std::size_t mask = window_.size() - 1;
+  auto i = static_cast<std::size_t>(
+      (std::uint64_t{source} * 0x9E3779B97F4A7C15ULL) >> window_shift_);
+  while (window_[i].count != 0 && window_[i].source != source) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void Firewall::grow_window() {
+  std::vector<WindowCell> old(window_.empty() ? 16 : 2 * window_.size());
+  old.swap(window_);
+  window_shift_ =
+      64 - static_cast<unsigned>(std::countr_zero(window_.size()));
+  for (const WindowCell& cell : old) {
+    if (cell.count != 0) window_[window_slot(cell.source)] = cell;
+  }
+}
+
+std::uint32_t Firewall::window_count(workload::SourceId source) const {
+  return window_.empty() ? 0 : window_[window_slot(source)].count;
 }
 
 bool Firewall::is_banned(workload::SourceId source) const {
@@ -73,13 +106,20 @@ std::size_t Firewall::banned_count() const {
 
 void Firewall::poll() {
   const double window_s = to_seconds(config_.check_interval);
-  // Materialise the window sorted by source id: ban decisions emit log
-  // lines and trace events, and hash order would make those exports
-  // (and the strikes/bans insertion order) depend on the allocator.
-  std::vector<std::pair<workload::SourceId, std::uint32_t>> window(
-      window_counts_.begin(), window_counts_.end());
-  std::sort(window.begin(), window.end());
-  for (const auto& [source, count] : window) {
+  // Visit the window sorted by source id: ban decisions emit log lines
+  // and trace events, and table order would make those exports (and the
+  // strikes/bans insertion order) depend on the table's size. The table
+  // is cleared below, so the occupied cells are packed to its front and
+  // sorted in place.
+  const auto used_end =
+      std::remove_if(window_.begin(), window_.end(),
+                     [](const WindowCell& cell) { return cell.count == 0; });
+  std::sort(window_.begin(), used_end,
+            [](const WindowCell& a, const WindowCell& b) {
+              return a.source < b.source;
+            });
+  for (auto it = window_.begin(); it != used_end; ++it) {
+    const auto [source, count] = *it;
     const double rate = static_cast<double>(count) / window_s;
     if (rate > config_.threshold_rps) {
       unsigned& strikes = strikes_[source];
@@ -108,7 +148,8 @@ void Firewall::poll() {
       if (it != strikes_.end()) strikes_.erase(it);
     }
   }
-  window_counts_.clear();
+  std::fill(window_.begin(), window_.end(), WindowCell{});
+  window_used_ = 0;
 }
 
 }  // namespace dope::net

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/engine.hpp"
@@ -69,8 +70,25 @@ class Firewall {
   /// Total ban decisions made (a source re-banned counts again).
   std::uint64_t total_bans() const { return total_bans_; }
 
+  /// Admitted requests from `source` since the last poll.
+  std::uint32_t window_count(workload::SourceId source) const;
+
+  /// Distinct sources admitted since the last poll.
+  std::size_t window_sources() const { return window_used_; }
+
  private:
+  /// One source's arrivals in the current window; count 0 marks an empty
+  /// cell (a counted source has at least one arrival).
+  struct WindowCell {
+    workload::SourceId source = 0;
+    std::uint32_t count = 0;
+  };
+
   void poll();
+  /// The cell holding `source`, or the empty cell where it would go.
+  std::size_t window_slot(workload::SourceId source) const;
+  /// Doubles the window table (16 cells at first) and reinserts.
+  void grow_window();
 
   sim::Engine& engine_;
   FirewallConfig config_;
@@ -81,8 +99,14 @@ class Firewall {
   obs::Counter* obs_admitted_ = nullptr;
   obs::Counter* obs_blocked_ = nullptr;
   obs::Counter* obs_bans_ = nullptr;
-  /// Arrivals per source within the current poll window.
-  std::unordered_map<workload::SourceId, std::uint32_t> window_counts_;
+  /// Arrivals per source within the current poll window: open addressing
+  /// over a power-of-two table with linear probing, at most half full.
+  /// Cleared, never shrunk, at each poll, so a steady source population
+  /// stops allocating after the first window.
+  std::vector<WindowCell> window_;
+  std::size_t window_used_ = 0;
+  /// 64 - log2(window_.size()); set by grow_window.
+  unsigned window_shift_ = 0;
   /// Consecutive over-threshold polls per source.
   std::unordered_map<workload::SourceId, unsigned> strikes_;
   /// Ban expiry per source.

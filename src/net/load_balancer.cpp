@@ -1,6 +1,5 @@
 #include "net/load_balancer.hpp"
 
-#include <limits>
 #include <string>
 
 #include "common/expect.hpp"
@@ -63,19 +62,20 @@ Backend* LoadBalancer::do_select(const workload::Request& request) {
       for (std::size_t probe = 0; probe < n; ++probe) {
         Backend* b = pool_[rr_next_];
         rr_next_ = (rr_next_ + 1) % n;
-        if (b->accepting()) return b;
+        if (b->lb_key() != Backend::kOff) return b;
       }
       return nullptr;
     }
     case LbPolicy::kLeastLoaded: {
+      // Strict `<` in pool order: ties go to the lowest position, and
+      // kOff never beats the initial kOff, so an all-off pool yields null.
       Backend* best = nullptr;
-      std::size_t best_load = std::numeric_limits<std::size_t>::max();
+      std::uint32_t best_key = Backend::kOff;
       for (Backend* b : pool_) {
-        if (!b->accepting()) continue;
-        const std::size_t l = b->load();
-        if (l < best_load) {
+        const std::uint32_t key = b->lb_key();
+        if (key < best_key) {
           best = b;
-          best_load = l;
+          best_key = key;
         }
       }
       return best;
@@ -84,11 +84,11 @@ Backend* LoadBalancer::do_select(const workload::Request& request) {
       for (std::size_t probe = 0; probe < 2 * n; ++probe) {
         Backend* b = pool_[static_cast<std::size_t>(
             rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
-        if (b->accepting()) return b;
+        if (b->lb_key() != Backend::kOff) return b;
       }
       // Fall back to a linear scan if random probing keeps missing.
       for (Backend* b : pool_) {
-        if (b->accepting()) return b;
+        if (b->lb_key() != Backend::kOff) return b;
       }
       return nullptr;
     }
@@ -98,7 +98,7 @@ Backend* LoadBalancer::do_select(const workload::Request& request) {
       const std::size_t start = static_cast<std::size_t>(h % n);
       for (std::size_t probe = 0; probe < n; ++probe) {
         Backend* b = pool_[(start + probe) % n];
-        if (b->accepting()) return b;
+        if (b->lb_key() != Backend::kOff) return b;
       }
       return nullptr;
     }

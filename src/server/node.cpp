@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/audit.hpp"
 #include "common/expect.hpp"
 #include "obs/hub.hpp"
 
@@ -40,6 +41,15 @@ ServerNode::ServerNode(sim::Engine& engine, int id,
     free_mask_[i / 64] |= std::uint64_t{1} << (i % 64);
   }
   refresh_power();
+  publish_key();
+}
+
+std::uint32_t ServerNode::state_key() const {
+  if (!accepting()) return kOff;
+  // A load of 2^32 - 1 requests cannot be held in memory; the clamp only
+  // keeps an accepting node's key distinct from kOff.
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(load(), kOff - 1));
 }
 
 std::size_t ServerNode::claim_free_slot() {
@@ -112,6 +122,10 @@ void ServerNode::span_service_end(const workload::Request& request,
 
 void ServerNode::submit(workload::Request&& request) {
   DOPE_REQUIRE(accepting_, "submit on a non-accepting server");
+  if constexpr (audit::kEnabled) {
+    audit::check_lb_key(engine_.obs(), engine_.now(), id_, lb_key(),
+                        state_key());
+  }
   // Claim a free slot; otherwise queue (or reject when full).
   if (active_count_ < slots_.size()) {
     begin_service(claim_free_slot(), std::move(request));
@@ -124,6 +138,7 @@ void ServerNode::submit(workload::Request&& request) {
   }
   span_queue_begin(request);
   queue_.push_back(std::move(request));
+  publish_key();
 }
 
 void ServerNode::begin_service(std::size_t slot_index,
@@ -144,6 +159,7 @@ void ServerNode::begin_service(std::size_t slot_index,
       std::max<Duration>(duration, 1),
       [this, slot_index] { finish_service(slot_index); });
   ++active_count_;
+  publish_key();
   span_service_begin(slot.request, slot_index,
                      model_.request_power(profile.power, level_));
   refresh_power();
@@ -155,6 +171,7 @@ void ServerNode::finish_service(std::size_t slot_index) {
   slot.busy = false;
   release_slot(slot_index);
   --active_count_;
+  publish_key();
   const Duration latency = engine_.now() - slot.request.arrival;
   ++counters_.completed;
   span_service_end(slot.request, "completed");
@@ -167,6 +184,7 @@ void ServerNode::drain_queue() {
   while (active_count_ < slots_.size() && !queue_.empty()) {
     workload::Request next = std::move(queue_.front());
     queue_.pop_front();
+    publish_key();
     if (config_.queue_deadline > 0 &&
         engine_.now() - next.arrival > config_.queue_deadline) {
       ++counters_.timed_out;
@@ -250,6 +268,7 @@ void ServerNode::park() {
   }
   integrate_energy();
   parked_ = true;
+  publish_key();
   current_power_ = model_.spec().sleep_power;
 }
 
@@ -260,9 +279,11 @@ void ServerNode::unpark() {
   integrate_energy();
   parked_ = false;
   waking_ = true;
+  publish_key();
   current_power_ = model_.idle_power(level_);
   wake_event_ = engine_.schedule_after(kWakeLatency, [this] {
     waking_ = false;
+    publish_key();
     refresh_power();
   });
 }
@@ -282,6 +303,7 @@ void ServerNode::power_off() {
     slot.busy = false;
     release_slot(i);
     --active_count_;
+    publish_key();
     span_service_end(slot.request, "outage");
     emit(slot.request, workload::RequestOutcome::kFailedOutage,
          engine_.now() - slot.request.arrival);
@@ -291,10 +313,12 @@ void ServerNode::power_off() {
     emit(queue_.front(), workload::RequestOutcome::kFailedOutage,
          engine_.now() - queue_.front().arrival);
     queue_.pop_front();
+    publish_key();
   }
   DOPE_ASSERT(active_count_ == 0);
   powered_off_ = true;
   parked_ = false;
+  publish_key();
   current_power_ = Watts{0.0};
 }
 
@@ -304,9 +328,11 @@ void ServerNode::power_on(Duration boot_time) {
   integrate_energy();
   powered_off_ = false;
   waking_ = true;
+  publish_key();
   current_power_ = model_.idle_power(level_);  // boot draw
   wake_event_ = engine_.schedule_after(boot_time, [this] {
     waking_ = false;
+    publish_key();
     refresh_power();
   });
 }

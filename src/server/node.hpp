@@ -65,13 +65,16 @@ class ServerNode final : public net::Backend {
 
   // --- net::Backend ---
   int backend_id() const override { return id_; }
-  std::size_t load() const override {
-    return queue_.size() + active_count_;
-  }
-  bool accepting() const override {
+  void submit(workload::Request&& request) override;
+
+  /// Requests currently queued plus in service.
+  std::size_t load() const { return queue_.size() + active_count_; }
+  /// False when the node refuses new work (drained / parked / waking /
+  /// powered off). The node republishes `lb_key()` after every change to
+  /// this or to `load()`.
+  bool accepting() const {
     return accepting_ && !parked_ && !waking_ && !powered_off_;
   }
-  void submit(workload::Request&& request) override;
 
   // --- DVFS control ---
   /// Currently applied level.
@@ -107,7 +110,10 @@ class ServerNode final : public net::Backend {
   unsigned active_count() const { return active_count_; }
   unsigned cores() const { return model_.spec().cores; }
   const ServerCounters& counters() const { return counters_; }
-  void set_accepting(bool accepting) { accepting_ = accepting; }
+  void set_accepting(bool accepting) {
+    accepting_ = accepting;
+    publish_key();
+  }
 
   // --- sleep states (PowerNap-style; used by the auto-scaler) ---
   /// Puts an *idle* node into deep sleep: power drops to the spec's
@@ -139,6 +145,10 @@ class ServerNode final : public net::Backend {
     sim::EventId completion = 0;
   };
 
+  /// The `lb_key()` that `load()` and `accepting()` imply right now.
+  std::uint32_t state_key() const;
+  /// Republishes `lb_key()` from the node's state.
+  void publish_key() { set_lb_key(state_key()); }
   void begin_service(std::size_t slot_index, workload::Request&& request);
   void finish_service(std::size_t slot_index);
   void drain_queue();

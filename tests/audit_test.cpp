@@ -101,6 +101,14 @@ TEST_F(AuditTest, NegativeMetricTrips) {
   EXPECT_EQ(audit::violation_count(), 1u);
 }
 
+TEST_F(AuditTest, LbKeyTripsOnAStaleKey) {
+  EXPECT_TRUE(audit::check_lb_key(nullptr, 0, 3, 5, 5));
+  EXPECT_TRUE(audit::check_lb_key(nullptr, 0, 3, 0xFFFFFFFFu, 0xFFFFFFFFu));
+  EXPECT_FALSE(audit::check_lb_key(nullptr, 0, 3, 4, 5));
+  EXPECT_FALSE(audit::check_lb_key(nullptr, 0, 3, 0, 0xFFFFFFFFu));
+  EXPECT_EQ(audit::violation_count(), 2u);
+}
+
 TEST_F(AuditTest, MonotonicTimeTrips) {
   EXPECT_TRUE(audit::check_monotonic_time(
       static_cast<obs::Hub*>(nullptr), 100, 100));

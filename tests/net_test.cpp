@@ -1,11 +1,13 @@
 // Unit tests for the network layer: load balancer, token bucket, firewall.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/backend.hpp"
 #include "net/firewall.hpp"
 #include "net/load_balancer.hpp"
@@ -20,25 +22,33 @@ namespace {
 using workload::Request;
 using workload::SourceId;
 
-/// Minimal backend recording what it received.
+/// Minimal backend recording what it received; publishes its key after
+/// every change, as the Backend contract asks.
 class FakeBackend final : public Backend {
  public:
-  explicit FakeBackend(int id) : id_(id) {}
+  explicit FakeBackend(int id) : id_(id) { publish(); }
   int backend_id() const override { return id_; }
-  std::size_t load() const override { return load_; }
-  bool accepting() const override { return accepting_; }
   void submit(Request&& r) override {
     received.push_back(std::move(r));
     ++load_;
+    publish();
   }
 
-  void set_load(std::size_t l) { load_ = l; }
-  void set_accepting(bool a) { accepting_ = a; }
+  void set_load(std::uint32_t l) {
+    load_ = l;
+    publish();
+  }
+  void set_accepting(bool a) {
+    accepting_ = a;
+    publish();
+  }
   std::vector<Request> received;
 
  private:
+  void publish() { set_lb_key(accepting_ ? load_ : kOff); }
+
   int id_;
-  std::size_t load_ = 0;
+  std::uint32_t load_ = 0;
   bool accepting_ = true;
 };
 
@@ -117,6 +127,45 @@ TEST(LoadBalancer, ReturnsNullWhenNobodyAccepts) {
     EXPECT_EQ(lb.select(r), nullptr);
     Request r2;
     EXPECT_FALSE(lb.dispatch(std::move(r2)));
+  }
+}
+
+TEST(LoadBalancer, LeastLoadedTiesGoToTheLowestPoolPosition) {
+  auto backends = make_backends(5);
+  backends[0]->set_load(4);
+  backends[1]->set_load(2);
+  backends[2]->set_load(2);
+  backends[3]->set_load(2);
+  backends[4]->set_load(3);
+  // Pool order differs from backend ids: the tie among ids 1, 2 and 3
+  // goes to whichever sits first in the pool, here id 3.
+  std::vector<Backend*> pool{backends[4].get(), backends[3].get(),
+                             backends[0].get(), backends[1].get(),
+                             backends[2].get()};
+  LoadBalancer lb(LbPolicy::kLeastLoaded, pool);
+  Request r;
+  ASSERT_NE(lb.select(r), nullptr);
+  EXPECT_EQ(lb.select(r)->backend_id(), 3);
+  backends[3]->set_accepting(false);
+  EXPECT_EQ(lb.select(r)->backend_id(), 1);
+}
+
+TEST(LoadBalancer, MixedLoadsAllOffReturnNullUnderEveryPolicy) {
+  auto backends = make_backends(5);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    backends[i]->set_load(i * 7);
+    backends[i]->set_accepting(false);
+  }
+  // An off backend keeps its load but publishes kOff.
+  EXPECT_EQ(backends[3]->lb_key(), Backend::kOff);
+  for (auto policy : {LbPolicy::kRoundRobin, LbPolicy::kLeastLoaded,
+                      LbPolicy::kRandom, LbPolicy::kSourceHash}) {
+    LoadBalancer lb(policy, pool_of(backends));
+    for (SourceId s = 0; s < 8; ++s) {
+      Request r;
+      r.source = s;
+      EXPECT_EQ(lb.select(r), nullptr);
+    }
   }
 }
 
@@ -326,9 +375,9 @@ TEST(Firewall, MultiStrikeRequiresPersistence) {
 }
 
 TEST(Firewall, BanOrderIsSortedBySourceId) {
-  // The poll window is an unordered_map; ban decisions emit log lines
+  // The poll window is a hash table; ban decisions emit log lines
   // and kFirewallBan trace events, so poll() must visit a sorted
-  // materialization — hash order would leak allocator-dependent bytes
+  // materialization — hash order would leak table-size-dependent bytes
   // into exports. Flood from ids inserted in a scrambled order and
   // lock in ascending trace order.
   sim::Engine engine;
@@ -352,6 +401,74 @@ TEST(Firewall, BanOrderIsSortedBySourceId) {
   }
   const std::vector<double> expected = {3, 7, 23, 41, 58, 99};
   EXPECT_EQ(banned, expected);
+}
+
+TEST(Firewall, WindowCountsMatchAReferenceMapAcrossTableGrowth) {
+  // 300 distinct sources make the window table (16 cells, doubled at
+  // half load) grow five times within one window. The ids include 0 and
+  // attack-range ids at and above 1,000,000.
+  sim::Engine engine;
+  obs::Hub hub;
+  engine.set_obs(&hub);
+  FirewallConfig config;
+  config.threshold_rps = 20.0;
+  config.check_interval = kSecond;
+  Firewall firewall(engine, config);
+  Rng rng(2024);
+  std::map<SourceId, std::uint32_t> reference;
+  for (SourceId s = 0; s < 200; ++s) {
+    reference[s] = static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+  }
+  for (SourceId s = 0; s < 100; ++s) {
+    reference[1'000'000 + s * 4'099] =
+        static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+  }
+  reference[0] = 30;
+  reference[1'000'000] = 25;
+  std::vector<SourceId> stream;
+  for (const auto& [source, count] : reference) {
+    stream.insert(stream.end(), count, source);
+  }
+  for (std::size_t i = stream.size() - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i)));
+    std::swap(stream[i], stream[j]);
+  }
+  for (const SourceId source : stream) {
+    ASSERT_TRUE(firewall.admit(request_from(source)));
+  }
+
+  EXPECT_EQ(firewall.window_sources(), reference.size());
+  std::vector<double> expected_bans;
+  for (const auto& [source, count] : reference) {
+    EXPECT_EQ(firewall.window_count(source), count) << source;
+    if (count > 20) expected_bans.push_back(source);
+  }
+  EXPECT_EQ(firewall.window_count(999'999), 0u);
+
+  engine.run_until(kSecond);  // the poll at t = 1 s
+  for (const auto& [source, count] : reference) {
+    EXPECT_EQ(firewall.is_banned(source), count > 20) << source;
+  }
+  std::vector<double> banned;
+  for (const auto& e : hub.trace().events()) {
+    if (e.type != obs::EventType::kFirewallBan) continue;
+    for (const auto& [key, value] : e.num) {
+      if (std::string_view(key) == "source_id") banned.push_back(value);
+    }
+  }
+  EXPECT_EQ(banned, expected_bans);  // ascending source id
+  EXPECT_EQ(firewall.total_bans(), expected_bans.size());
+  EXPECT_EQ(firewall.window_sources(), 0u);
+  for (const auto& [source, count] : reference) {
+    EXPECT_EQ(firewall.window_count(source), 0u) << source;
+  }
+
+  // The next window reuses the cleared table.
+  ASSERT_TRUE(firewall.admit(request_from(123'456)));
+  ASSERT_TRUE(firewall.admit(request_from(123'456)));
+  EXPECT_EQ(firewall.window_count(123'456), 2u);
+  EXPECT_EQ(firewall.window_sources(), 1u);
 }
 
 TEST(Firewall, ValidatesConfig) {

@@ -216,6 +216,68 @@ TEST_F(ServerNodeTest, NonAcceptingNodeRefusesSubmit) {
                std::invalid_argument);
 }
 
+/// The key the load balancer must see for the node's current state.
+std::uint32_t implied_key(const ServerNode& node) {
+  return node.accepting() ? static_cast<std::uint32_t>(node.load())
+                          : net::Backend::kOff;
+}
+
+TEST_F(ServerNodeTest, PublishedKeyTracksEveryTransition) {
+  ServerConfig config;
+  config.queue_deadline = millis(50.0);
+  std::unique_ptr<ServerNode> node;
+  int emitted = 0;
+  // The key is republished before any record leaves the node, so a sink
+  // that re-dispatches sees the state the record describes.
+  node = std::make_unique<ServerNode>(
+      engine_, 0, catalog_, power::ServerPowerModel({}, ladder_), config,
+      [&](const RequestRecord&) {
+        EXPECT_EQ(node->lb_key(), implied_key(*node));
+        ++emitted;
+      });
+  const auto expect_key = [&](const char* after) {
+    EXPECT_EQ(node->lb_key(), implied_key(*node)) << "after " << after;
+  };
+  expect_key("construction");
+  EXPECT_EQ(node->lb_key(), 0u);
+
+  // begin_service (4 cores), then queue pushes.
+  for (int i = 0; i < 8; ++i) {
+    node->submit(request(Catalog::kCollaFilt));
+    expect_key("submit");
+  }
+  EXPECT_EQ(node->lb_key(), 8u);
+  node->set_accepting(false);
+  expect_key("set_accepting(false)");
+  EXPECT_EQ(node->lb_key(), net::Backend::kOff);
+  node->set_accepting(true);
+  expect_key("set_accepting(true)");
+
+  // Completions release slots and drain the queue; Colla-Filt's 80 ms
+  // service outlasts the 50 ms deadline, so later pops time out.
+  while (node->load() > 0 && engine_.step()) expect_key("an event");
+  EXPECT_GT(node->counters().timed_out, 0u);
+
+  node->park();
+  expect_key("park");
+  node->unpark();
+  expect_key("unpark");
+  EXPECT_TRUE(node->waking());
+  engine_.run_until(engine_.now() + 3 * kSecond);
+  expect_key("wake completion");
+  EXPECT_EQ(node->lb_key(), 0u);
+
+  for (int i = 0; i < 6; ++i) node->submit(request(Catalog::kCollaFilt));
+  node->power_off();
+  expect_key("power_off");
+  node->power_on(kSecond);
+  expect_key("power_on");
+  engine_.run_until(engine_.now() + 2 * kSecond);
+  expect_key("boot completion");
+  EXPECT_EQ(node->lb_key(), 0u);
+  EXPECT_EQ(emitted, 14);
+}
+
 TEST_F(ServerNodeTest, ManyRequestsAllTerminate) {
   auto node = make_node();
   const int n = 500;

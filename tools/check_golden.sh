@@ -7,7 +7,10 @@
 # pre-refactor captures in tests/golden/. The span-merged JSONL trace,
 # the Chrome trace, the forensics rollup and the incident bundle are
 # too large to commit, so their sha256 sums sit in
-# tests/golden/exports.sha256 instead. Any refactor that claims
+# tests/golden/exports.sha256 instead, as are the exports of a
+# fleet-sized firewall run (4 zones x 50 servers behind the GLB, 16
+# bans), the one surface where least-loaded picks over 50-node pools and
+# the firewall's ban order show. Any refactor that claims
 # "performance/typing changes, results do not" (the event-core rewrite,
 # the Quantity<Dim> units migration) must keep this green: a single
 # changed byte means the arithmetic — not just the types — changed.
@@ -75,6 +78,14 @@ compare "$tmp/att-metrics.json" "$golden/engine_refactor_metrics.json"
   --forensics-out "$tmp/forensics.json" \
   --trace-out "$tmp/chrome-trace.json" \
   --incidents-out "$tmp/incidents.json" > /dev/null
+
+# Fleet-sized firewall run: 16 agents flood zone 1 hard enough to be
+# banned, so the trace carries 16 FirewallBan events in source order.
+"$cli" --zones 4 --servers 50 --divider headroom --firewall \
+  --attack-zone 1 --normal-rps 8000 --attack-rps 3000 --agents 16 \
+  --duration-s 30 --seed 42 --csv "$tmp/fleet-fw.csv" \
+  --metrics-out "$tmp/fleet-fw-metrics.json" \
+  --trace-out "$tmp/fleet-fw-trace.jsonl" > /dev/null
 if ! (cd "$tmp" && sha256sum --quiet -c "$golden/exports.sha256"); then
   echo "check_golden: MISMATCH: exports.sha256" >&2
   status=1
@@ -84,5 +95,5 @@ if [[ "$status" -ne 0 ]]; then
   echo "check_golden: exports drifted from tests/golden/ captures" >&2
   exit 1
 fi
-echo "check_golden: all 9 export surfaces byte-identical" \
+echo "check_golden: all 12 export surfaces byte-identical" \
   "(detached and with the flight recorder attached)"
