@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "metrics/request_metrics.hpp"
 #include "net/firewall.hpp"
 #include "net/load_balancer.hpp"
 #include "scenario/scenario.hpp"
@@ -212,6 +213,34 @@ void BM_FirewallAdmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FirewallAdmit);
+
+void BM_LatencyRecordAndSummarize(benchmark::State& state) {
+  // A run's latency bookkeeping: 1.7M completed requests recorded (about
+  // site-10x100's 60 s), then the summary's p50/p90/p95/p99/min/max.
+  // Latencies are seeded exponential draws, mean 20 ms, in microseconds.
+  constexpr std::size_t kSamples = 1'700'000;
+  Rng rng(42);
+  std::vector<Duration> latencies(kSamples);
+  for (auto& us : latencies) us = static_cast<Duration>(rng.exponential(2e4));
+  workload::RequestRecord record;
+  record.outcome = workload::RequestOutcome::kCompleted;
+  for (auto _ : state) {
+    metrics::RequestMetrics metrics;
+    for (Duration us : latencies) {
+      record.latency = us;
+      metrics.record(record);
+    }
+    const auto& latency = metrics.normal_latency_ms();
+    for (double p : {50.0, 90.0, 95.0, 99.0}) {
+      benchmark::DoNotOptimize(latency.percentile(p));
+    }
+    benchmark::DoNotOptimize(latency.min());
+    benchmark::DoNotOptimize(latency.max());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kSamples) *
+                          state.iterations());
+}
+BENCHMARK(BM_LatencyRecordAndSummarize)->Unit(benchmark::kMillisecond);
 
 void BM_ScenarioMinute(benchmark::State& state) {
   // End-to-end cost of one simulated minute of the evaluation cluster.

@@ -33,7 +33,10 @@ Cluster::Cluster(sim::Engine& engine, const workload::Catalog& catalog,
       config_((validate(config), std::move(config))),
       data_(*this, config_),
       power_(*this, data_, config_),
-      control_(*this) {
+      control_(*this),
+      // A zone of a multi-zone site counts outcomes only; the site's
+      // recorder keeps each latency sample once.
+      request_metrics_(/*keep_latency=*/config_.zone < 0) {
   bind_obs();
 
   slot_task_ =

@@ -83,7 +83,8 @@ struct ClusterConfig {
   net::LbPolicy lb_policy = net::LbPolicy::kLeastLoaded;
   /// Zone index inside a `site::Site`; -1 for a standalone cluster.
   /// When >= 0 every metric, trace event, span, and watchdog signal the
-  /// cluster emits carries the zone.
+  /// cluster emits carries the zone, and `request_metrics()` counts
+  /// outcomes only (the site's recorder keeps the latency samples).
   int zone = -1;
 };
 

@@ -6,10 +6,10 @@
 // Defenses never see the ground-truth attack flag; only this recorder does.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "workload/request.hpp"
 
@@ -33,9 +33,52 @@ struct OutcomeCounts {
   std::uint64_t lost() const { return terminal() - completed; }
 };
 
+/// Exact latency distribution of completed requests, read in
+/// milliseconds. Each sample is 4 bytes: integer microseconds in a
+/// `uint32_t` (up to ~71.6 min); a longer latency is kept whole in a
+/// 64-bit overflow vector, and every one of those ranks above every
+/// 32-bit sample. Reads equal a `Percentiles` fed `to_millis` of the same
+/// samples: `mean()` is the insertion-order sum of those milliseconds,
+/// and `percentile()` selects the two order statistics around the rank
+/// (`std::nth_element`, nothing sorted) and interpolates between them
+/// with `Percentiles::percentile`'s formula.
+class LatencyStore {
+ public:
+  /// `latency` in microseconds, non-negative.
+  void add(Duration latency);
+
+  std::size_t count() const { return narrow_.size() + wide_.size(); }
+  bool empty() const { return count() == 0; }
+
+  /// Milliseconds; 0 for an empty store.
+  double mean() const;
+  /// p in [0, 100], milliseconds; 0 for an empty store.
+  double percentile(double p) const;
+  double median() const { return percentile(50.0); }
+  double min() const;
+  double max() const;
+
+ private:
+  /// The k-th smallest sample; partitions the vector holding it so that
+  /// nothing after it there is smaller.
+  Duration select(std::size_t k) const;
+  /// The (k+1)-th smallest sample, read right after `select(k)`.
+  Duration select_next(std::size_t k) const;
+
+  mutable std::vector<std::uint32_t> narrow_;
+  mutable std::vector<Duration> wide_;
+  double sum_ms_ = 0.0;
+};
+
 /// Latency + outcome statistics for normal and attack populations.
 class RequestMetrics {
  public:
+  /// With `keep_latency` false only outcome counts are kept and both
+  /// latency stores stay empty: a zone of a multi-zone site, whose
+  /// site-wide recorder holds each completion's sample once.
+  explicit RequestMetrics(bool keep_latency = true)
+      : keep_latency_(keep_latency) {}
+
   /// Sink entry point; hand `sink()` to servers/cluster.
   void record(const workload::RequestRecord& record);
 
@@ -46,8 +89,8 @@ class RequestMetrics {
   const OutcomeCounts& attack_counts() const { return attack_counts_; }
 
   /// Latency distribution of *completed* requests, milliseconds.
-  const Percentiles& normal_latency_ms() const { return normal_latency_; }
-  const Percentiles& attack_latency_ms() const { return attack_latency_; }
+  const LatencyStore& normal_latency_ms() const { return normal_latency_; }
+  const LatencyStore& attack_latency_ms() const { return attack_latency_; }
 
   /// Fraction of legitimate requests that completed (paper's "service
   /// availability"). 1.0 when no legitimate request terminated yet.
@@ -61,19 +104,12 @@ class RequestMetrics {
     return normal_counts_.terminal() + attack_counts_.terminal();
   }
 
-  /// Completed requests keyed by the serving zone (`ServerRef::kNoZone`
-  /// for a standalone cluster). Ordered for deterministic iteration;
-  /// site-level recorders see every zone a record came from.
-  const std::map<std::int32_t, std::uint64_t>& completed_by_zone() const {
-    return completed_by_zone_;
-  }
-
  private:
   OutcomeCounts normal_counts_;
   OutcomeCounts attack_counts_;
-  Percentiles normal_latency_;
-  Percentiles attack_latency_;
-  std::map<std::int32_t, std::uint64_t> completed_by_zone_;
+  LatencyStore normal_latency_;
+  LatencyStore attack_latency_;
+  bool keep_latency_;
 };
 
 }  // namespace dope::metrics

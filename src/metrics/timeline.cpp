@@ -15,7 +15,6 @@ TimelineRecorder::TimelineRecorder(sim::Engine& engine, Duration interval,
     const double v = probe_();
     samples_.push_back({engine_.now(), v});
     stats_.add(v);
-    distribution_.add(v);
   });
 }
 

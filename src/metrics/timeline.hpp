@@ -32,7 +32,6 @@ class TimelineRecorder {
 
   const std::vector<Sample>& samples() const { return samples_; }
   const OnlineStats& stats() const { return stats_; }
-  const Percentiles& distribution() const { return distribution_; }
 
   /// Stops sampling (also happens on destruction).
   void stop();
@@ -46,7 +45,6 @@ class TimelineRecorder {
   sim::PeriodicHandle handle_;
   std::vector<Sample> samples_;
   OnlineStats stats_;
-  Percentiles distribution_;
 };
 
 }  // namespace dope::metrics

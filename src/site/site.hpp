@@ -166,8 +166,9 @@ class Site {
   std::uint64_t reapportion_count() const { return reapportions_; }
 
   // --- metrics ---
-  /// Site-wide request metrics (every zone's terminal records fold in);
-  /// with one zone, that zone's own recorder.
+  /// Site-wide request metrics (every zone's terminal records fold in,
+  /// and only this recorder keeps their latency samples; each zone's
+  /// own counts outcomes); with one zone, that zone's own recorder.
   metrics::RequestMetrics& request_metrics();
   /// Sum of the zones' energy accounts — site-level conservation holds
   /// exactly: aggregate load energy == sum of zone load energies.
@@ -199,8 +200,8 @@ class Site {
   std::vector<Watts> zone_budgets_;
   std::uint64_t reapportions_ = 0;
 
-  /// Fed only with two or more zones: it keeps a second copy of every
-  /// latency sample, which a one-zone site does not need.
+  /// Fed only with two or more zones, whose own recorders then keep no
+  /// latency samples: each completion is sampled once, here.
   metrics::RequestMetrics request_metrics_;
 
   /// Smooth weighted round-robin accumulators (kWeighted, two or more

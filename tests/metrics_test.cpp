@@ -1,6 +1,11 @@
 // Unit tests for metrics: request populations, timelines, energy account.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "metrics/energy.hpp"
 #include "metrics/request_metrics.hpp"
 #include "metrics/timeline.hpp"
@@ -80,6 +85,106 @@ TEST(RequestMetrics, SinkAdapterForwards) {
   auto sink = m.sink();
   sink(record_of(false, RequestOutcome::kCompleted));
   EXPECT_EQ(m.normal_counts().completed, 1u);
+}
+
+// ------------------------------------------------------------ latency store
+
+constexpr Duration k2Pow32 = Duration{1} << 32;
+
+// Every read of `store` equals a `Percentiles` fed the milliseconds of
+// the same samples. Bitwise: the store promises the same arithmetic.
+void expect_matches_reference(const LatencyStore& store,
+                              const std::vector<Duration>& samples) {
+  Percentiles reference;
+  for (Duration us : samples) reference.add(to_millis(us));
+  ASSERT_EQ(store.count(), reference.count());
+  EXPECT_EQ(store.empty(), reference.empty());
+  EXPECT_EQ(store.mean(), reference.mean());  // before any sort
+  for (double p : {0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9,
+                   100.0}) {
+    EXPECT_EQ(store.percentile(p), reference.percentile(p)) << "p" << p;
+  }
+  EXPECT_EQ(store.median(), reference.median());
+  EXPECT_EQ(store.min(), reference.min());
+  EXPECT_EQ(store.max(), reference.max());
+}
+
+TEST(LatencyStore, MatchesPercentilesOnRandomDrawsWithTies) {
+  Rng rng(42);
+  // Few distinct values (many ties) and a wide spread.
+  for (Duration spread : {Duration{7}, Duration{5'000'000}}) {
+    for (std::size_t n : {2u, 3u, 10u, 101u, 4096u}) {
+      LatencyStore store;
+      std::vector<Duration> samples;
+      for (std::size_t i = 0; i < n; ++i) {
+        samples.push_back(rng.uniform_int(0, spread));
+        store.add(samples.back());
+      }
+      SCOPED_TRACE(testing::Message() << "spread " << spread << " n " << n);
+      expect_matches_reference(store, samples);
+    }
+  }
+}
+
+TEST(LatencyStore, EmptyAndSingleSample) {
+  LatencyStore store;
+  expect_matches_reference(store, {});
+  EXPECT_EQ(store.percentile(99), 0.0);
+  store.add(1234);
+  expect_matches_reference(store, {1234});
+  EXPECT_EQ(store.percentile(99), 1.234);
+}
+
+TEST(LatencyStore, KeepsLatenciesPast32BitsWhole) {
+  // Both sides of the 32-bit boundary, the 2^32 us sample exactly on it,
+  // and order statistics that straddle the two vectors. Every prefix,
+  // so the first (one wide sample only) and mixed stores are covered.
+  const std::vector<Duration> samples = {
+      k2Pow32,     500,        k2Pow32 - 1, 3 * k2Pow32 + 17, 0,
+      k2Pow32,     k2Pow32 + 1, 70'000,      k2Pow32 - 1};
+  for (std::size_t n = 1; n <= samples.size(); ++n) {
+    LatencyStore store;
+    const std::vector<Duration> head(samples.begin(), samples.begin() + n);
+    for (Duration us : head) store.add(us);
+    SCOPED_TRACE(n);
+    expect_matches_reference(store, head);
+  }
+}
+
+TEST(LatencyStore, MeanIsTheInsertionOrderSumAfterPercentileReads) {
+  Rng rng(7);
+  LatencyStore store;
+  double sum = 0.0;
+  for (int i = 0; i < 10'000; ++i) {
+    const Duration us = rng.uniform_int(0, 900'000);
+    store.add(us);
+    sum += to_millis(us);
+  }
+  const double mean = sum / 10'000.0;
+  EXPECT_EQ(store.mean(), mean);
+  // Order-statistic reads reorder the samples; the mean must not move.
+  (void)store.percentile(99);
+  (void)store.median();
+  EXPECT_EQ(store.mean(), mean);
+}
+
+TEST(LatencyStore, RejectsNegativeLatencyAndOutOfRangeRank) {
+  LatencyStore store;
+  EXPECT_THROW(store.add(-1), std::invalid_argument);
+  EXPECT_TRUE(store.empty());
+  store.add(1);
+  EXPECT_THROW((void)store.percentile(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)store.percentile(100.1), std::invalid_argument);
+}
+
+TEST(RequestMetrics, CountsOnlyRecorderKeepsNoLatency) {
+  RequestMetrics m(/*keep_latency=*/false);
+  m.record(record_of(false, RequestOutcome::kCompleted));
+  m.record(record_of(true, RequestOutcome::kCompleted));
+  EXPECT_EQ(m.normal_counts().completed, 1u);
+  EXPECT_EQ(m.attack_counts().completed, 1u);
+  EXPECT_TRUE(m.normal_latency_ms().empty());
+  EXPECT_TRUE(m.attack_latency_ms().empty());
 }
 
 // ---------------------------------------------------------------- timeline

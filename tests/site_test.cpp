@@ -216,13 +216,32 @@ TEST_F(SiteTest, ZoneSinkBypassesTheGlobalBalancer) {
   site->run_for(2 * kSecond);
   EXPECT_EQ(site->zone(0).request_metrics().normal_counts().completed, 0u);
   EXPECT_EQ(site->zone(1).request_metrics().normal_counts().completed, 3u);
-  // Zone records fold into the site-wide recorder, keyed by zone.
+  // Zone records fold into the site-wide recorder.
   EXPECT_EQ(site->request_metrics().normal_counts().completed, 3u);
-  const auto& by_zone = site->request_metrics().completed_by_zone();
-  ASSERT_EQ(by_zone.size(), 1u);
-  EXPECT_EQ(by_zone.at(1), 3u);
 
   EXPECT_THROW(site->zone_sink(7), std::invalid_argument);
+}
+
+TEST_F(SiteTest, EachZoneCountsItsCompletionsAndTheSiteSamplesThemOnce) {
+  auto site = make_site(two_zones(2));
+  for (std::size_t z = 0; z < 2; ++z) {
+    auto pinned = site->zone_sink(z);
+    for (std::size_t i = 0; i < 2 + z; ++i) {
+      pinned(request_of(Catalog::kTextCont, engine_.now()));
+    }
+  }
+  site->run_for(2 * kSecond);
+  std::uint64_t zone_completed = 0;
+  for (std::size_t z = 0; z < 2; ++z) {
+    const auto& zone = site->zone(z).request_metrics();
+    EXPECT_EQ(zone.normal_counts().completed, 2 + z);
+    EXPECT_TRUE(zone.normal_latency_ms().empty());
+    zone_completed += zone.normal_counts().completed;
+  }
+  const auto& all = site->request_metrics();
+  EXPECT_EQ(all.normal_counts().completed, zone_completed);
+  EXPECT_EQ(all.normal_latency_ms().count(), zone_completed);
+  EXPECT_GT(all.normal_latency_ms().mean(), 0.0);
 }
 
 TEST_F(SiteTest, ReapportionsOnItsPeriod) {
@@ -333,6 +352,12 @@ TEST(OneZoneSite, ReducesToItsCluster) {
   ASSERT_EQ(site.zone_budgets().size(), 1u);
   EXPECT_DOUBLE_EQ(site.zone_budgets()[0].value(), 150.0);
   EXPECT_EQ(site.request_metrics().total_terminal(), 1u);
+  // The one zone keeps its own samples; the site reads that store.
+  EXPECT_EQ(&site.request_metrics().normal_latency_ms(),
+            &site.zone(0).request_metrics().normal_latency_ms());
+  EXPECT_EQ(site.zone(0).request_metrics().normal_latency_ms().count(),
+            site.zone(0).request_metrics().normal_counts().completed);
+  EXPECT_EQ(site.zone(0).request_metrics().normal_counts().completed, 1u);
 
   std::ostringstream metrics;
   hub.registry().write_json(metrics);
