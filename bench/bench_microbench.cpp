@@ -1,17 +1,25 @@
 // Google-benchmark microbenchmarks of the simulator's hot paths: event
 // engine throughput, server queueing, generator arrival scheduling, the
-// per-request network path (least-loaded pick, firewall admit), and
-// end-to-end scenario cost. These bound how large a cluster/window the
-// harness can sweep.
+// per-request network path (least-loaded pick, firewall admit), the
+// span-merged trace export and forensics rollup, and end-to-end scenario
+// cost. These bound how large a cluster/window the harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <ostream>
+#include <queue>
+#include <streambuf>
+#include <functional>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "metrics/request_metrics.hpp"
 #include "net/firewall.hpp"
 #include "net/load_balancer.hpp"
+#include "obs/forensics.hpp"
+#include "obs/hub.hpp"
 #include "scenario/scenario.hpp"
 #include "server/node.hpp"
 #include "sim/engine.hpp"
@@ -241,6 +249,162 @@ void BM_LatencyRecordAndSummarize(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_LatencyRecordAndSummarize)->Unit(benchmark::kMillisecond);
+
+/// Stream buffer that counts what is written to it and keeps nothing.
+class ByteCounter : public std::streambuf {
+ public:
+  std::int64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += n;
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::int64_t bytes_ = 0;
+};
+
+/// A hub holding what the golden 60 s run records with spans on: 42k
+/// forwarded requests, each with a RequestForwarded event, a root span
+/// and an LB-pick instant; about a third queue and three in five reach
+/// a slot, whose service span closes at the same µs as its root. Spans
+/// open and close in time order, as the engine's clock makes them.
+/// About 125k spans and 42k events; built once, on first use.
+const obs::Hub& golden_sized_hub() {
+  static const auto hub = [] {
+    auto h = std::make_unique<obs::Hub>(obs::HubConfig{.enable_spans = true});
+    obs::SpanTracer& spans = *h->spans();
+    Rng rng(42);
+    // Span opens and closes due later, in (time, scheduling) order. A
+    // close carries only the id and outcome of the span.
+    struct Due {
+      Time t;
+      std::uint64_t order;
+      obs::Span span;
+      bool open;
+      bool operator>(const Due& o) const {
+        return std::tie(t, order) > std::tie(o.t, o.order);
+      }
+    };
+    std::priority_queue<Due, std::vector<Due>, std::greater<>> due;
+    std::uint64_t scheduled = 0;
+    const auto schedule = [&](Time t, const obs::Span& span, bool open) {
+      due.push(Due{t, scheduled++, span, open});
+    };
+    const auto run_until = [&](Time t) {
+      while (!due.empty() && due.top().t <= t) {
+        const Due& d = due.top();
+        if (d.open) {
+          spans.begin(d.span);
+        } else {
+          spans.end(d.span.id, d.t, d.span.outcome);
+        }
+        due.pop();
+      }
+    };
+    Time now = 0;
+    for (std::uint64_t request = 1; request <= 41'991; ++request) {
+      now += static_cast<Time>(rng.exponential(1'429.0)) + 1;
+      run_until(now);
+      const bool attack = rng() % 2 == 0;
+      obs::Span span;
+      span.id = obs::span_id_for(request, obs::SpanKind::kRequest);
+      span.begin = now;
+      span.source_id = attack ? 1'000'001 + static_cast<std::uint32_t>(
+                                                rng() % 64)
+                              : static_cast<std::uint32_t>(rng() % 256);
+      span.url_class = static_cast<std::uint32_t>(rng() % 4);
+      span.label = attack ? "attack" : "normal";
+      const int server = static_cast<int>(rng() % 8);
+
+      obs::TraceEvent e;
+      e.t = now;
+      e.type = obs::EventType::kRequestForwarded;
+      e.source = "edge";
+      e.num = {{"server", server},
+               {"url_class", span.url_class},
+               {"source_id", span.source_id}};
+      e.str = {{"pool", "scheme"}};
+      h->event(std::move(e));
+
+      spans.begin(span);
+      obs::Span pick = span;
+      pick.id = obs::span_id_for(request, obs::SpanKind::kLbPick);
+      pick.parent = span.id;
+      pick.kind = obs::SpanKind::kLbPick;
+      pick.server = server;
+      pick.label = attack ? "suspect" : "normal";
+      spans.instant(pick, now);
+
+      Time end = now;
+      span.outcome = "dropped";
+      if (rng() % 3 == 0) {
+        obs::Span queue = pick;
+        queue.id = obs::span_id_for(request, obs::SpanKind::kQueue);
+        queue.kind = obs::SpanKind::kQueue;
+        queue.label = "";
+        queue.outcome = "dequeued";
+        spans.begin(queue);
+        end += static_cast<Time>(rng.exponential(20'000.0));
+        schedule(end, queue, false);
+      }
+      if (rng() % 5 < 3) {
+        obs::Span service = pick;
+        service.id = obs::span_id_for(request, obs::SpanKind::kService);
+        service.kind = obs::SpanKind::kService;
+        service.begin = end;
+        service.slot = static_cast<int>(rng() % 4);
+        service.power_w = Watts{5.0 + static_cast<double>(rng() % 20)};
+        service.label = "";
+        service.outcome = "completed";
+        schedule(end, service, true);
+        end += static_cast<Time>(rng.exponential(30'000.0)) + 1;
+        schedule(end, service, false);
+        span.outcome = "completed";
+      }
+      schedule(end, span, false);
+    }
+    run_until(60 * kSecond);
+    return h;
+  }();
+  return *hub;
+}
+
+void BM_TraceJsonlExport(benchmark::State& state) {
+  // The span-merged JSONL export of a golden-sized run, into a sink that
+  // only counts bytes.
+  const obs::Hub& hub = golden_sized_hub();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    ByteCounter counter;
+    std::ostream sink(&counter);
+    hub.write_trace_jsonl(sink);
+    bytes = counter.bytes();
+  }
+  state.SetBytesProcessed(bytes * state.iterations());
+  state.counters["spans"] = static_cast<double>(hub.spans()->spans().size());
+  state.counters["events"] = static_cast<double>(hub.trace().events().size());
+}
+BENCHMARK(BM_TraceJsonlExport)->Unit(benchmark::kMillisecond);
+
+void BM_ForensicsBuild(benchmark::State& state) {
+  // The per-source forensics rollup of the same run.
+  const obs::Hub& hub = golden_sized_hub();
+  for (auto _ : state) {
+    const auto forensics =
+        obs::Forensics::build(*hub.spans(), hub.trace(), 60 * kSecond);
+    benchmark::DoNotOptimize(forensics.total_joules());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(hub.spans()->spans().size()) *
+      state.iterations());
+}
+BENCHMARK(BM_ForensicsBuild)->Unit(benchmark::kMillisecond);
 
 void BM_ScenarioMinute(benchmark::State& state) {
   // End-to-end cost of one simulated minute of the evaluation cluster.

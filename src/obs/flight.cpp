@@ -1,6 +1,7 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -57,15 +58,27 @@ std::string find_str(const TraceEvent& e, std::string_view key) {
   return {};
 }
 
-/// Nearest-rank percentile over a sorted sample vector.
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank =
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
-  const std::size_t idx = static_cast<std::size_t>(
-      std::clamp(rank - 1.0, 0.0,
-                 static_cast<double>(sorted.size()) - 1.0));
-  return sorted[idx];
+/// Nearest-rank p50, p95 and p99 of `samples` (0 when empty), selected
+/// instead of sorted: p50 by `std::nth_element`, then each higher rank
+/// within the partition above the previous one. Reorders `samples`.
+std::array<double, 3> slo_percentiles(std::vector<double>& samples) {
+  constexpr std::array<double, 3> kPercents = {50, 95, 99};
+  std::array<double, 3> out{};
+  if (samples.empty()) return out;
+  const double n = static_cast<double>(samples.size());
+  auto from = samples.begin();
+  for (std::size_t k = 0; k < kPercents.size(); ++k) {
+    const double rank = std::ceil(kPercents[k] / 100.0 * n);
+    const auto idx =
+        static_cast<std::ptrdiff_t>(std::clamp(rank - 1.0, 0.0, n - 1.0));
+    const auto at = samples.begin() + idx;
+    if (at >= from) {
+      std::nth_element(from, at, samples.end());
+      from = at + 1;
+    }
+    out[k] = *at;
+  }
+  return out;
 }
 
 }  // namespace
@@ -278,7 +291,7 @@ void FlightRecorder::write_slo_json(std::ostream& out) const {
   for (auto& [url_class, c] : classes) {
     if (!first) out << ',';
     first = false;
-    std::sort(c.lat_ms.begin(), c.lat_ms.end());
+    const std::array<double, 3> pct = slo_percentiles(c.lat_ms);
     const double requests = static_cast<double>(c.requests);
     const double breach_rate =
         c.requests ? static_cast<double>(c.breaches) / requests : 0.0;
@@ -287,11 +300,11 @@ void FlightRecorder::write_slo_json(std::ostream& out) const {
         << ", \"requests\": " << c.requests
         << ", \"completed\": " << c.completed
         << ", \"breaches\": " << c.breaches << ", \"p50_ms\": ";
-    write_json_number(out, sorted_percentile(c.lat_ms, 50));
+    write_json_number(out, pct[0]);
     out << ", \"p95_ms\": ";
-    write_json_number(out, sorted_percentile(c.lat_ms, 95));
+    write_json_number(out, pct[1]);
     out << ", \"p99_ms\": ";
-    write_json_number(out, sorted_percentile(c.lat_ms, 99));
+    write_json_number(out, pct[2]);
     out << ", \"compliance\": ";
     write_json_number(out, 1.0 - breach_rate);
     out << ", \"burn_rate\": ";

@@ -61,7 +61,7 @@ void Hub::write_trace_jsonl(std::ostream& out) const {
     return;
   }
   JsonBuf buf;
-  write_merged_jsonl(out, buf, trace_.events(), spans_->spans());
+  write_merged_jsonl(out, buf, trace_.events(), *spans_);
   trace_.write_jsonl_trailer(buf);
   spans_->write_jsonl_trailer(buf);
   buf.flush(out);

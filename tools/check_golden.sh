@@ -9,8 +9,8 @@
 # too large to commit, so their sha256 sums sit in
 # tests/golden/exports.sha256 instead, as are the exports of a
 # fleet-sized firewall run (4 zones x 50 servers behind the GLB, 16
-# bans), the one surface where least-loaded picks over 50-node pools and
-# the firewall's ban order show. Any refactor that claims
+# bans), the one surface where least-loaded picks over 50-node pools,
+# the firewall's ban order and the forensics' dominant zone show. Any refactor that claims
 # "performance/typing changes, results do not" (the event-core rewrite,
 # the Quantity<Dim> units migration) must keep this green: a single
 # changed byte means the arithmetic — not just the types — changed.
@@ -86,6 +86,12 @@ compare "$tmp/att-metrics.json" "$golden/engine_refactor_metrics.json"
   --duration-s 30 --seed 42 --csv "$tmp/fleet-fw.csv" \
   --metrics-out "$tmp/fleet-fw-metrics.json" \
   --trace-out "$tmp/fleet-fw-trace.jsonl" > /dev/null
+# The same fleet with request spans and the forensics rollup: the one
+# surface where `dominant_zone` (272 sources across 4 zones) shows.
+"$cli" --zones 4 --servers 50 --divider headroom --firewall \
+  --attack-zone 1 --normal-rps 8000 --attack-rps 3000 --agents 16 \
+  --duration-s 30 --seed 42 --spans \
+  --forensics-out "$tmp/fleet-fw-forensics.json" > /dev/null
 if ! (cd "$tmp" && sha256sum --quiet -c "$golden/exports.sha256"); then
   echo "check_golden: MISMATCH: exports.sha256" >&2
   status=1
@@ -95,5 +101,5 @@ if [[ "$status" -ne 0 ]]; then
   echo "check_golden: exports drifted from tests/golden/ captures" >&2
   exit 1
 fi
-echo "check_golden: all 12 export surfaces byte-identical" \
+echo "check_golden: all 13 export surfaces byte-identical" \
   "(detached and with the flight recorder attached)"
