@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the simulator's hot paths: event
 // engine throughput, server queueing, generator arrival scheduling, the
-// per-request network path (least-loaded pick, firewall admit), the
-// span-merged trace export and forensics rollup, and end-to-end scenario
-// cost. These bound how large a cluster/window the harness can sweep.
+// per-request network path (least-loaded pick, firewall admit), span and
+// event recording, the span-merged trace export and forensics rollup,
+// and end-to-end scenario cost. These bound how large a cluster/window
+// the harness can sweep.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -269,111 +270,132 @@ class ByteCounter : public std::streambuf {
   std::int64_t bytes_ = 0;
 };
 
-/// A hub holding what the golden 60 s run records with spans on: 42k
+/// Records into `h` (spans on) what the golden 60 s run records: 42k
 /// forwarded requests, each with a RequestForwarded event, a root span
 /// and an LB-pick instant; about a third queue and three in five reach
 /// a slot, whose service span closes at the same µs as its root. Spans
 /// open and close in time order, as the engine's clock makes them.
-/// About 125k spans and 42k events; built once, on first use.
+/// About 125k spans and 42k events.
+void record_golden_sized(obs::Hub& h) {
+  obs::SpanTracer& spans = *h.spans();
+  Rng rng(42);
+  // Span opens and closes due later, in (time, scheduling) order. A
+  // close carries only the id and outcome of the span.
+  struct Due {
+    Time t;
+    std::uint64_t order;
+    obs::Span span;
+    bool open;
+    bool operator>(const Due& o) const {
+      return std::tie(t, order) > std::tie(o.t, o.order);
+    }
+  };
+  std::priority_queue<Due, std::vector<Due>, std::greater<>> due;
+  std::uint64_t scheduled = 0;
+  const auto schedule = [&](Time t, const obs::Span& span, bool open) {
+    due.push(Due{t, scheduled++, span, open});
+  };
+  const auto run_until = [&](Time t) {
+    while (!due.empty() && due.top().t <= t) {
+      const Due& d = due.top();
+      if (d.open) {
+        spans.begin(d.span);
+      } else {
+        spans.end(d.span.id, d.t, d.span.outcome);
+      }
+      due.pop();
+    }
+  };
+  Time now = 0;
+  for (std::uint64_t request = 1; request <= 41'991; ++request) {
+    now += static_cast<Time>(rng.exponential(1'429.0)) + 1;
+    run_until(now);
+    const bool attack = rng() % 2 == 0;
+    obs::Span span;
+    span.id = obs::span_id_for(request, obs::SpanKind::kRequest);
+    span.begin = now;
+    span.source_id = attack ? 1'000'001 + static_cast<std::uint32_t>(
+                                              rng() % 64)
+                            : static_cast<std::uint32_t>(rng() % 256);
+    span.url_class = static_cast<std::uint32_t>(rng() % 4);
+    span.label = attack ? "attack" : "normal";
+    const int server = static_cast<int>(rng() % 8);
+
+    obs::TraceEvent e;
+    e.t = now;
+    e.type = obs::EventType::kRequestForwarded;
+    e.source = "edge";
+    e.num = {{"server", server},
+             {"url_class", span.url_class},
+             {"source_id", span.source_id}};
+    e.str = {{"pool", "scheme"}};
+    h.event(e);
+
+    spans.begin(span);
+    obs::Span pick = span;
+    pick.id = obs::span_id_for(request, obs::SpanKind::kLbPick);
+    pick.kind = obs::SpanKind::kLbPick;
+    pick.server = server;
+    pick.label = attack ? "suspect" : "normal";
+    spans.instant(pick, now);
+
+    Time end = now;
+    span.outcome = "dropped";
+    if (rng() % 3 == 0) {
+      obs::Span queue = pick;
+      queue.id = obs::span_id_for(request, obs::SpanKind::kQueue);
+      queue.kind = obs::SpanKind::kQueue;
+      queue.label = "";
+      queue.outcome = "dequeued";
+      spans.begin(queue);
+      end += static_cast<Time>(rng.exponential(20'000.0));
+      schedule(end, queue, false);
+    }
+    if (rng() % 5 < 3) {
+      obs::Span service = pick;
+      service.id = obs::span_id_for(request, obs::SpanKind::kService);
+      service.kind = obs::SpanKind::kService;
+      service.begin = end;
+      service.slot = static_cast<int>(rng() % 4);
+      service.power_w = Watts{5.0 + static_cast<double>(rng() % 20)};
+      service.label = "";
+      service.outcome = "completed";
+      schedule(end, service, true);
+      end += static_cast<Time>(rng.exponential(30'000.0)) + 1;
+      schedule(end, service, false);
+      span.outcome = "completed";
+    }
+    schedule(end, span, false);
+  }
+  run_until(60 * kSecond);
+}
+
+/// A hub holding `record_golden_sized`'s records; built once, on first
+/// use.
 const obs::Hub& golden_sized_hub() {
   static const auto hub = [] {
     auto h = std::make_unique<obs::Hub>(obs::HubConfig{.enable_spans = true});
-    obs::SpanTracer& spans = *h->spans();
-    Rng rng(42);
-    // Span opens and closes due later, in (time, scheduling) order. A
-    // close carries only the id and outcome of the span.
-    struct Due {
-      Time t;
-      std::uint64_t order;
-      obs::Span span;
-      bool open;
-      bool operator>(const Due& o) const {
-        return std::tie(t, order) > std::tie(o.t, o.order);
-      }
-    };
-    std::priority_queue<Due, std::vector<Due>, std::greater<>> due;
-    std::uint64_t scheduled = 0;
-    const auto schedule = [&](Time t, const obs::Span& span, bool open) {
-      due.push(Due{t, scheduled++, span, open});
-    };
-    const auto run_until = [&](Time t) {
-      while (!due.empty() && due.top().t <= t) {
-        const Due& d = due.top();
-        if (d.open) {
-          spans.begin(d.span);
-        } else {
-          spans.end(d.span.id, d.t, d.span.outcome);
-        }
-        due.pop();
-      }
-    };
-    Time now = 0;
-    for (std::uint64_t request = 1; request <= 41'991; ++request) {
-      now += static_cast<Time>(rng.exponential(1'429.0)) + 1;
-      run_until(now);
-      const bool attack = rng() % 2 == 0;
-      obs::Span span;
-      span.id = obs::span_id_for(request, obs::SpanKind::kRequest);
-      span.begin = now;
-      span.source_id = attack ? 1'000'001 + static_cast<std::uint32_t>(
-                                                rng() % 64)
-                              : static_cast<std::uint32_t>(rng() % 256);
-      span.url_class = static_cast<std::uint32_t>(rng() % 4);
-      span.label = attack ? "attack" : "normal";
-      const int server = static_cast<int>(rng() % 8);
-
-      obs::TraceEvent e;
-      e.t = now;
-      e.type = obs::EventType::kRequestForwarded;
-      e.source = "edge";
-      e.num = {{"server", server},
-               {"url_class", span.url_class},
-               {"source_id", span.source_id}};
-      e.str = {{"pool", "scheme"}};
-      h->event(std::move(e));
-
-      spans.begin(span);
-      obs::Span pick = span;
-      pick.id = obs::span_id_for(request, obs::SpanKind::kLbPick);
-      pick.parent = span.id;
-      pick.kind = obs::SpanKind::kLbPick;
-      pick.server = server;
-      pick.label = attack ? "suspect" : "normal";
-      spans.instant(pick, now);
-
-      Time end = now;
-      span.outcome = "dropped";
-      if (rng() % 3 == 0) {
-        obs::Span queue = pick;
-        queue.id = obs::span_id_for(request, obs::SpanKind::kQueue);
-        queue.kind = obs::SpanKind::kQueue;
-        queue.label = "";
-        queue.outcome = "dequeued";
-        spans.begin(queue);
-        end += static_cast<Time>(rng.exponential(20'000.0));
-        schedule(end, queue, false);
-      }
-      if (rng() % 5 < 3) {
-        obs::Span service = pick;
-        service.id = obs::span_id_for(request, obs::SpanKind::kService);
-        service.kind = obs::SpanKind::kService;
-        service.begin = end;
-        service.slot = static_cast<int>(rng() % 4);
-        service.power_w = Watts{5.0 + static_cast<double>(rng() % 20)};
-        service.label = "";
-        service.outcome = "completed";
-        schedule(end, service, true);
-        end += static_cast<Time>(rng.exponential(30'000.0)) + 1;
-        schedule(end, service, false);
-        span.outcome = "completed";
-      }
-      schedule(end, span, false);
-    }
-    run_until(60 * kSecond);
+    record_golden_sized(*h);
     return h;
   }();
   return *hub;
 }
+
+void BM_ObsRecord(benchmark::State& state) {
+  // Recording a golden-sized run into a fresh hub: the span log's begin,
+  // end and instant, and the event trace's record, with their growth.
+  std::size_t spans = 0;
+  std::size_t events = 0;
+  for (auto _ : state) {
+    obs::Hub hub(obs::HubConfig{.enable_spans = true});
+    record_golden_sized(hub);
+    spans = hub.spans()->spans().size();
+    events = hub.trace().events().size();
+  }
+  state.counters["spans"] = static_cast<double>(spans);
+  state.counters["events"] = static_cast<double>(events);
+}
+BENCHMARK(BM_ObsRecord)->Unit(benchmark::kMillisecond);
 
 void BM_TraceJsonlExport(benchmark::State& state) {
   // The span-merged JSONL export of a golden-sized run, into a sink that

@@ -205,8 +205,10 @@ void DopeAttacker::trace_phase(AttackPhase from, double rate,
   e.num.emplace_back("rate_rps", rate);
   e.num.emplace_back("block_fraction", block_fraction);
   e.num.emplace_back("latency_ratio", latency_ratio);
-  e.str.emplace_back("from", phase_name(from));
-  e.str.emplace_back("to", phase_name(phase_));
+  const std::string from_name = phase_name(from);
+  const std::string to_name = phase_name(phase_);
+  e.str.emplace_back("from", from_name);
+  e.str.emplace_back("to", to_name);
   hub_->event(std::move(e));
 }
 

@@ -37,7 +37,6 @@ bool Firewall::admit(const workload::Request& request) {
   if (spans_ != nullptr) {
     obs::Span span;
     span.id = obs::span_id_for(request.id, obs::SpanKind::kFirewall);
-    span.parent = obs::span_id_for(request.id, obs::SpanKind::kRequest);
     span.kind = obs::SpanKind::kFirewall;
     span.source_id = request.source;
     span.url_class = request.type;

@@ -42,7 +42,6 @@ Backend* LoadBalancer::select(const workload::Request& request) {
   if (spans_ != nullptr) {
     obs::Span span;
     span.id = obs::span_id_for(request.id, obs::SpanKind::kLbPick);
-    span.parent = obs::span_id_for(request.id, obs::SpanKind::kRequest);
     span.kind = obs::SpanKind::kLbPick;
     span.source_id = request.source;
     span.url_class = request.type;

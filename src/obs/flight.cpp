@@ -41,7 +41,7 @@ std::string format_value(double v) {
 }
 
 /// Payload lookup in a trace event's numeric fields.
-bool find_num(const TraceEvent& e, std::string_view key, double* out) {
+bool find_num(const EventView& e, std::string_view key, double* out) {
   for (const auto& [k, v] : e.num) {
     if (key == k) {
       *out = v;
@@ -51,9 +51,9 @@ bool find_num(const TraceEvent& e, std::string_view key, double* out) {
   return false;
 }
 
-std::string find_str(const TraceEvent& e, std::string_view key) {
+std::string find_str(const EventView& e, std::string_view key) {
   for (const auto& [k, v] : e.str) {
-    if (key == k) return v;
+    if (key == k) return std::string(v);
   }
   return {};
 }
@@ -97,7 +97,7 @@ void FlightRecorder::set_suspect_classes(
   suspect_classes_ = std::move(classes);
 }
 
-void FlightRecorder::on_trace_event(const TraceEvent& e) {
+void FlightRecorder::on_trace_event(const EventView& e) {
   switch (e.type) {
     case EventType::kBreakerTrip: {
       double zone = -1.0;

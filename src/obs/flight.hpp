@@ -73,7 +73,7 @@ class FlightRecorder {
   void set_suspect_classes(std::vector<std::uint32_t> classes);
 
   /// TraceRecorder tap (see class comment).
-  void on_trace_event(const TraceEvent& e);
+  void on_trace_event(const EventView& e);
 
   /// DOPE_AUDIT=FATAL path: called *before* the audit throws so the
   /// bundle exists when the process unwinds.

@@ -52,7 +52,7 @@ Forensics Forensics::build(const SpanTracer& spans,
 
   // Violation instants, in trace (= time) order, for binary search.
   std::vector<Time> violations;
-  for (const TraceEvent& e : trace.events()) {
+  for (const EventView e : trace.events()) {
     if (e.type == EventType::kBudgetViolation) violations.push_back(e.t);
   }
   out.violation_events_ = violations.size();

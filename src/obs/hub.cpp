@@ -35,7 +35,7 @@ void write_chrome_async(JsonBuf& buf, const Span& span, const char* cat,
       .raw("\", \"args\": {\"span_id\": ")
       .integer(span.id)
       .raw(", \"parent\": ")
-      .integer(span.parent)
+      .integer(span.parent())
       .raw(", \"source_id\": ")
       .integer(span.source_id)
       .raw(", \"url_class\": ")
@@ -132,7 +132,7 @@ void Hub::write_chrome_trace(std::ostream& out) const {
             .raw("\", \"args\": {\"span_id\": ")
             .integer(span.id)
             .raw(", \"parent\": ")
-            .integer(span.parent)
+            .integer(span.parent())
             .raw(", \"source_id\": ")
             .integer(span.source_id)
             .raw(", \"url_class\": ")

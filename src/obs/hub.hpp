@@ -67,7 +67,7 @@ class Hub {
       // else holding a TraceRecorder*) records directly, and triggers
       // must fire for those events too.
       trace_.set_listener(
-          [this](const TraceEvent& e) { flight_->on_trace_event(e); });
+          [this](const EventView& e) { flight_->on_trace_event(e); });
     }
   }
 
@@ -92,7 +92,7 @@ class Hub {
   const FlightRecorder* flight() const { return flight_.get(); }
 
   /// Shorthand for trace().record(...).
-  void event(TraceEvent e) { trace_.record(std::move(e)); }
+  void event(const TraceEvent& e) { trace_.record(e); }
 
   /// DOPE_AUDIT failure hook (common/audit.hpp calls this *before* the
   /// fatal throw): snapshots an incident bundle so the post-mortem

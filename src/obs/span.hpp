@@ -11,9 +11,14 @@
 // seed-derived (`(seed << 40) ^ serial`), so two runs of the same
 // scenario produce identical span ids — diffable traces.
 //
+// Spans live in fixed blocks of `kSpansPerBlock` (obs/block_log.hpp):
+// growth allocates one block and never moves a span, so a `Span&` into
+// the log stays valid. The open spans are found through a flat
+// open-addressing table, so `begin`, `end` and `instant` allocate only
+// when a block fills or the table doubles.
+//
 // Like the rest of the hub, the tracer only observes: recording a span
-// never schedules an event, consumes randomness, or allocates on the
-// simulation's hot path beyond the append itself. Call sites cache the
+// never schedules an event or consumes randomness. Call sites cache the
 // `SpanTracer*` at construction and guard on null, so a run without
 // spans does zero observability work and exports byte-identical results.
 #pragma once
@@ -21,15 +26,15 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
+#include "obs/block_log.hpp"
 
 namespace dope::obs {
 
 class JsonBuf;
-struct TraceEvent;
+class EventLog;
 
 /// Lifecycle stage of a span; doubles as the low bits of its id.
 enum class SpanKind : std::uint8_t {
@@ -48,12 +53,11 @@ inline std::uint64_t span_id_for(std::uint64_t request_id, SpanKind kind) {
   return (request_id << 3) | static_cast<std::uint64_t>(kind);
 }
 
-/// One span. `label` and `outcome` must be string literals (or otherwise
-/// outlive the tracer), mirroring the TraceEvent key convention.
+/// One span (80 bytes). `label` and `outcome` must be string literals
+/// (or otherwise outlive the tracer), mirroring the TraceEvent key
+/// convention.
 struct Span {
   std::uint64_t id = 0;
-  /// Root-span id of the owning request; 0 for the root itself.
-  std::uint64_t parent = 0;
   SpanKind kind = SpanKind::kRequest;
   Time begin = 0;
   /// -1 while the span is still open.
@@ -78,7 +82,19 @@ struct Span {
   const char* outcome = "";
 
   bool open() const { return end < 0; }
+  /// Root-span id of the owning request; 0 for the root itself. Derived
+  /// from the id, whose low three bits hold the stage.
+  std::uint64_t parent() const {
+    return kind == SpanKind::kRequest ? 0 : id & ~std::uint64_t{7};
+  }
 };
+
+/// Spans per block of the span log: 80 KiB, below glibc's 128 KiB mmap
+/// threshold, so blocks come from the heap and are reused after a run.
+inline constexpr std::size_t kSpansPerBlock = 1024;
+
+/// The span log: indexable and iterable in recording order.
+using SpanLog = BlockLog<Span, kSpansPerBlock>;
 
 struct SpanConfig {
   /// Retention cap; spans past it are counted but not stored (exports
@@ -95,17 +111,19 @@ class SpanTracer {
   SpanTracer& operator=(const SpanTracer&) = delete;
 
   /// Opens a span (`span.end` is forced to -1). Dropped silently into
-  /// the overflow counter once the cap is hit.
+  /// the overflow counter once the cap is hit. An id begun again while
+  /// still open then names the newer span; the older one stays open.
   void begin(Span span);
 
-  /// Closes the open span `id` at `t`. Unknown ids (never begun, begun
-  /// past the cap, or already closed) are counted and ignored.
+  /// Closes the open span `id` at `t` (the newest, when its id was begun
+  /// twice). Unknown ids (never begun, begun past the cap, or already
+  /// closed) are counted and ignored.
   void end(std::uint64_t id, Time t, const char* outcome);
 
   /// Records an already-closed zero-duration span at `t` (verdicts).
   void instant(Span span, Time t);
 
-  const std::vector<Span>& spans() const { return spans_; }
+  const SpanLog& spans() const { return spans_; }
   /// Indices into `spans()` of the closed spans, in the order they
   /// closed (`end` and `instant` calls), rebuilt from their `close_seq`.
   /// Spans close at the engine's clock, so this is normally in end-time
@@ -115,7 +133,7 @@ class SpanTracer {
   std::uint64_t dropped() const { return recorded_ - spans_.size(); }
   /// Ends that matched no open span.
   std::uint64_t unmatched_ends() const { return unmatched_ends_; }
-  std::size_t open_count() const { return open_.size(); }
+  std::size_t open_count() const { return open_used_; }
   std::uint64_t count(SpanKind kind) const {
     return counts_[static_cast<std::size_t>(kind)];
   }
@@ -130,11 +148,33 @@ class SpanTracer {
   void write_jsonl_trailer(JsonBuf& buf) const;
 
  private:
+  /// One open span: its id and its index in `spans_`; `kNoSpan` marks
+  /// an empty cell.
+  struct OpenCell {
+    std::uint64_t id = 0;
+    std::uint32_t index = kNoSpan;
+  };
+  static constexpr std::uint32_t kNoSpan = ~std::uint32_t{0};
+
+  /// The cell holding `id`, or the empty cell where it would go.
+  std::size_t open_slot(std::uint64_t id) const;
+  /// The cell `id` hashes to.
+  std::size_t open_home(std::uint64_t id) const;
+  /// Doubles the open table (64 cells at first) and reinserts.
+  void grow_open();
+  /// Empties cell `i`, shifting later cells of its probe run back so
+  /// every remaining id stays reachable from its home cell.
+  void erase_open(std::size_t i);
+
   SpanConfig config_;
-  std::vector<Span> spans_;
-  /// Open-span lookup: id -> index into spans_. Lookup only — never
-  /// iterated, so hash order cannot leak into any output.
-  std::unordered_map<std::uint64_t, std::size_t> open_;
+  SpanLog spans_;
+  /// Open-span lookup: id -> index into spans_, open addressing over a
+  /// power-of-two table with linear probing, at most half full. Lookup
+  /// only — never iterated, so hash order cannot leak into any output.
+  std::vector<OpenCell> open_;
+  std::size_t open_used_ = 0;
+  /// 64 - log2(open_.size()); set by grow_open.
+  unsigned open_shift_ = 0;
   /// Stored spans closed so far (the next `close_seq`).
   std::uint32_t closed_ = 0;
   std::uint64_t recorded_ = 0;
@@ -160,7 +200,6 @@ void write_span_end_jsonl(JsonBuf& buf, const Span& span);
 /// of equal end time put into index order; a stream that is not
 /// (hand-fed input) is sorted by time first. Trailers are the caller's.
 void write_merged_jsonl(std::ostream& out, JsonBuf& buf,
-                        const std::vector<TraceEvent>& events,
-                        const SpanTracer& tracer);
+                        const EventLog& events, const SpanTracer& tracer);
 
 }  // namespace dope::obs

@@ -78,7 +78,6 @@ void ServerNode::span_queue_begin(const workload::Request& request) {
   if (spans_ == nullptr) return;
   obs::Span span;
   span.id = obs::span_id_for(request.id, obs::SpanKind::kQueue);
-  span.parent = obs::span_id_for(request.id, obs::SpanKind::kRequest);
   span.kind = obs::SpanKind::kQueue;
   span.begin = engine_.now();
   span.source_id = request.source;
@@ -101,7 +100,6 @@ void ServerNode::span_service_begin(const workload::Request& request,
   if (spans_ == nullptr) return;
   obs::Span span;
   span.id = obs::span_id_for(request.id, obs::SpanKind::kService);
-  span.parent = obs::span_id_for(request.id, obs::SpanKind::kRequest);
   span.kind = obs::SpanKind::kService;
   span.begin = engine_.now();
   span.source_id = request.source;

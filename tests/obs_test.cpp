@@ -14,7 +14,9 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -477,6 +479,107 @@ TEST(Trace, EveryEventTypeHasAName) {
   }
 }
 
+TEST(Trace, FieldRunsPastABlockBoundaryReadBackIntact) {
+  // Full runs (8 numeric and 2 string fields) do not divide a field
+  // block evenly, so some run meets a block's tail it does not fit.
+  constexpr std::size_t kRunBytes =
+      kMaxNumFields * sizeof(NumField) + kMaxStrFields * sizeof(StrField);
+  static_assert(kFieldBlockBytes % kRunBytes != 0);
+  const std::size_t n = 3 * kFieldBlockBytes / kRunBytes;
+  const char* const keys[kMaxNumFields] = {"a", "b", "c", "d",
+                                           "e", "f", "g", "h"};
+  TraceRecorder rec;
+  for (std::size_t i = 0; i < n; ++i) {
+    TraceEvent e = make_event(static_cast<Time>(i), EventType::kAlertRaised,
+                              "watchdog");
+    for (std::size_t k = 0; k < kMaxNumFields; ++k) {
+      e.num.emplace_back(keys[k], static_cast<double>(i * 10 + k));
+    }
+    const std::string rule = "rule-" + std::to_string(i % 5);
+    e.str.emplace_back("rule", rule);
+    e.str.emplace_back("signal", "attack_rps");
+    rec.record(e);
+  }
+  ASSERT_EQ(rec.events().size(), n);
+  std::size_t i = 0;
+  for (const EventView e : rec.events()) {
+    ASSERT_EQ(e.t, static_cast<Time>(i));
+    ASSERT_EQ(e.num.size(), kMaxNumFields);
+    for (std::size_t k = 0; k < kMaxNumFields; ++k) {
+      ASSERT_STREQ(e.num[k].key, keys[k]);
+      ASSERT_EQ(e.num[k].value, static_cast<double>(i * 10 + k)) << i;
+    }
+    ASSERT_EQ(e.str.size(), 2u);
+    ASSERT_EQ(e.str[0].value, "rule-" + std::to_string(i % 5)) << i;
+    ASSERT_EQ(e.str[1].value, "attack_rps");
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+}
+
+TEST(Trace, EventPastTheCapReachesTheListenerWithItsPayload) {
+  TraceRecorder rec(TraceConfig{.max_events = 1});
+  std::vector<std::string> seen;
+  rec.set_listener([&](const EventView& e) {
+    std::string line = event_type_name(e.type);
+    for (const auto& [key, value] : e.num) {
+      line += ' ' + std::string(key) + '=' + std::to_string(value);
+    }
+    for (const auto& [key, value] : e.str) {
+      line += ' ' + std::string(key) + '=' + std::string(value);
+    }
+    seen.push_back(line);
+  });
+  for (int i = 0; i < 2; ++i) {
+    TraceEvent e = make_event(i, EventType::kBreakerTrip, "breaker");
+    e.num.emplace_back("trips", i + 1);
+    const std::string rule = "trip-" + std::to_string(i);
+    e.str.emplace_back("rule", rule);
+    rec.record(e);
+  }
+  EXPECT_EQ(rec.events().size(), 1u);
+  EXPECT_EQ(rec.dropped(), 1u);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1], "BreakerTrip trips=2.000000 rule=trip-1");
+}
+
+TEST(Trace, StringValueOutlivesTheCallersString) {
+  TraceRecorder rec;
+  {
+    // Longer than any small-string buffer, so it lives on the heap.
+    auto value = std::make_unique<std::string>(
+        "a rule name long enough to need the heap");
+    TraceEvent e = make_event(7, EventType::kAlertRaised, "watchdog");
+    e.str.emplace_back("rule", *value);
+    rec.record(e);
+    value.reset();
+    // Reuse the freed memory, so a dangling view would read garbage.
+    std::string other(40, 'x');
+    EXPECT_EQ(other.size(), 40u);
+  }
+  std::ostringstream out;
+  rec.write_jsonl(out);
+  EXPECT_NE(out.str().find("\"rule\": \"a rule name long enough to need the "
+                           "heap\""),
+            std::string::npos)
+      << out.str();
+  EXPECT_EQ(rec.events()[0].str[0].value,
+            "a rule name long enough to need the heap");
+}
+
+TEST(Trace, FieldsPastTheCapacityFailLoudly) {
+  TraceEvent e;
+  for (std::size_t k = 0; k < kMaxNumFields; ++k) {
+    e.num.emplace_back("k", 1.0);
+  }
+  EXPECT_THROW(e.num.emplace_back("k", 1.0), std::invalid_argument);
+  EXPECT_EQ(e.num.size(), kMaxNumFields);
+  e.str = {{"a", "1"}, {"b", "2"}};
+  EXPECT_THROW(e.str.emplace_back("c", "3"), std::invalid_argument);
+  EXPECT_THROW((e.str = {{"a", "1"}, {"b", "2"}, {"c", "3"}}),
+               std::invalid_argument);
+}
+
 // --------------------------------------------------------------- watchdog
 
 TEST(Watchdog, RaisesOnlyAfterConsecutiveBreaches) {
@@ -623,7 +726,6 @@ TEST(Spans, BeginEndPairsAndInstants) {
 
   Span verdict;
   verdict.id = span_id_for(42, SpanKind::kFirewall);
-  verdict.parent = root.id;
   verdict.kind = SpanKind::kFirewall;
   verdict.outcome = "pass";
   tracer.instant(verdict, 10);
@@ -640,6 +742,10 @@ TEST(Spans, BeginEndPairsAndInstants) {
   EXPECT_STREQ(closed_root.outcome, "completed");
   EXPECT_FALSE(closed_root.open());
   EXPECT_EQ(tracer.spans()[1].begin, tracer.spans()[1].end);
+  // The parent is derived from the id: 0 for the root, the root's id
+  // for every other stage.
+  EXPECT_EQ(closed_root.parent(), 0u);
+  EXPECT_EQ(tracer.spans()[1].parent(), root.id);
   EXPECT_EQ(tracer.count(SpanKind::kRequest), 1u);
   EXPECT_EQ(tracer.count(SpanKind::kFirewall), 1u);
 }
@@ -681,7 +787,6 @@ TEST(Spans, JsonlRecordsCarrySchemaFields) {
   SpanTracer tracer;
   Span span;
   span.id = span_id_for(3, SpanKind::kService);
-  span.parent = span_id_for(3, SpanKind::kRequest);
   span.kind = SpanKind::kService;
   span.begin = 100;
   span.source_id = 1'000'001;
@@ -698,6 +803,7 @@ TEST(Spans, JsonlRecordsCarrySchemaFields) {
   EXPECT_NE(text.find("\"type\": \"SpanBegin\""), std::string::npos);
   EXPECT_NE(text.find("\"type\": \"SpanEnd\""), std::string::npos);
   EXPECT_NE(text.find("\"kind\": \"service\""), std::string::npos);
+  EXPECT_NE(text.find("\"parent\": 24,"), std::string::npos);  // 3 << 3
   EXPECT_NE(text.find("\"power_w\": 21"), std::string::npos);
   EXPECT_NE(text.find("\"outcome\": \"completed\""), std::string::npos);
 }
@@ -715,8 +821,7 @@ Span make_span(std::uint64_t request, SpanKind kind, Time begin) {
 /// The merged export as materialise-and-sort: every record tagged with
 /// (t, stream), stable-sorted, then written. Reference for
 /// `write_merged_jsonl`.
-std::string reference_merge(const std::vector<TraceEvent>& events,
-                            const std::vector<Span>& spans) {
+std::string reference_merge(const EventLog& events, const SpanLog& spans) {
   struct Entry {
     Time t;
     int stream;  // 0 = event, 1 = begin, 2 = end
@@ -850,7 +955,7 @@ TEST(MergedExport, MatchesMaterialiseAndSortOnRandomStreams) {
     // The stand-alone span export is the same merge with no events.
     std::ostringstream alone;
     spans.write_jsonl(alone);
-    ASSERT_EQ(alone.str(), reference_merge({}, spans.spans()))
+    ASSERT_EQ(alone.str(), reference_merge(EventLog{}, spans.spans()))
         << "round " << round;
   }
 }
@@ -876,7 +981,7 @@ TEST(MergedExport, MatchesMaterialiseAndSortPastTheCap) {
   Rng rng(23);
   for (int round = 0; round < 20; ++round) {
     SpanTracer tracer(SpanConfig{.max_spans = 60});
-    std::vector<TraceEvent> events;
+    EventLog events;
     const bool monotone = round % 4 != 3;  // else ends out of time order
     // Closed at a negative time, a span reads as open to the export and
     // to the reference alike.
@@ -1173,7 +1278,7 @@ std::vector<SourceStats> reference_forensics(const SpanTracer& spans,
                                              const TraceRecorder& trace,
                                              Time horizon) {
   std::vector<Time> violations;
-  for (const TraceEvent& e : trace.events()) {
+  for (const EventView e : trace.events()) {
     if (e.type == EventType::kBudgetViolation) violations.push_back(e.t);
   }
   if (horizon < 0) {

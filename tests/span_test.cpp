@@ -8,12 +8,16 @@
 // per-slot duration tracks.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "antidope/antidope.hpp"
 #include "antidope/suspect_list.hpp"
+#include "common/rng.hpp"
 #include "obs/forensics.hpp"
 #include "obs/hub.hpp"
 #include "obs/span.hpp"
@@ -89,7 +93,7 @@ TEST(SpanScenario, SpanIdsStableAcrossReruns) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].parent, b[i].parent);
+    EXPECT_EQ(a[i].parent(), b[i].parent());
     EXPECT_EQ(a[i].kind, b[i].kind);
     EXPECT_EQ(a[i].begin, b[i].begin);
     EXPECT_EQ(a[i].end, b[i].end);
@@ -108,9 +112,9 @@ TEST(SpanScenario, SpanTreeIsCausallyConsistent) {
     // Stage lives in the low id bits; children point at their root.
     EXPECT_EQ(span.id & 7u, static_cast<std::uint64_t>(span.kind));
     if (span.kind == SpanKind::kRequest) {
-      EXPECT_EQ(span.parent, 0u);
+      EXPECT_EQ(span.parent(), 0u);
     } else {
-      EXPECT_EQ(span.parent, span.id & ~std::uint64_t{7});
+      EXPECT_EQ(span.parent(), span.id & ~std::uint64_t{7});
     }
     if (span.kind == SpanKind::kService) {
       EXPECT_GE(span.server, 0);
@@ -246,6 +250,118 @@ TEST(SpanExport, ScenarioTraceCapMarksTruncation) {
   hub.write_trace_jsonl(out);
   EXPECT_NE(out.str().find("\"type\": \"TraceTruncated\""),
             std::string::npos);
+}
+
+// ------------------------------------------------ block storage
+
+/// A queue span of request `r`, begun at `r` µs.
+Span queue_span(std::uint64_t r) {
+  Span span;
+  span.id = span_id_for(r, SpanKind::kQueue);
+  span.kind = SpanKind::kQueue;
+  span.begin = static_cast<Time>(r);
+  span.source_id = static_cast<std::uint32_t>(r);
+  return span;
+}
+
+TEST(SpanLog, IndexesAndIteratesAcrossTheBlockBoundary) {
+  for (const std::size_t n : {kSpansPerBlock - 1, kSpansPerBlock,
+                              kSpansPerBlock + 1}) {
+    SpanTracer tracer;
+    for (std::uint64_t r = 0; r < n; ++r) tracer.begin(queue_span(r));
+    const SpanLog& spans = tracer.spans();
+    ASSERT_EQ(spans.size(), n);
+    EXPECT_EQ(static_cast<std::size_t>(std::distance(spans.begin(),
+                                                     spans.end())),
+              n);
+    std::uint32_t expect = 0;
+    for (const Span& span : spans) {
+      ASSERT_EQ(span.source_id, expect) << "n " << n;
+      ++expect;
+    }
+    EXPECT_EQ(expect, n);
+    for (std::size_t i : {std::size_t{0}, n - 1}) {
+      EXPECT_EQ(spans[i].id, span_id_for(i, SpanKind::kQueue)) << "n " << n;
+      EXPECT_EQ(spans.begin()[static_cast<std::ptrdiff_t>(i)].begin,
+                static_cast<Time>(i));
+    }
+    EXPECT_EQ(spans.back().source_id, n - 1);
+    EXPECT_EQ(tracer.open_count(), n);
+  }
+}
+
+TEST(SpanLog, SpanReferenceSurvivesBlockAllocations) {
+  SpanTracer tracer;
+  tracer.begin(queue_span(0));
+  const Span& first = tracer.spans()[0];
+  // Three more blocks: a vector log would have moved the span by now.
+  for (std::uint64_t r = 1; r <= 3 * kSpansPerBlock; ++r) {
+    tracer.begin(queue_span(r));
+  }
+  EXPECT_EQ(&first, &tracer.spans()[0]);
+  tracer.end(first.id, 42, "dequeued");
+  EXPECT_EQ(first.end, 42);
+  EXPECT_STREQ(first.outcome, "dequeued");
+  EXPECT_EQ(first.parent(), span_id_for(0, SpanKind::kRequest));
+}
+
+TEST(SpanLog, IdBegunTwiceWhileOpenClosesTheNewest) {
+  SpanTracer tracer;
+  Span older = queue_span(5);
+  tracer.begin(older);
+  Span newer = queue_span(5);
+  newer.begin = 9;
+  tracer.begin(newer);
+  EXPECT_EQ(tracer.open_count(), 1u);  // one id, one open entry
+  tracer.end(newer.id, 12, "dequeued");
+  EXPECT_TRUE(tracer.spans()[0].open());
+  EXPECT_EQ(tracer.spans()[1].end, 12);
+  // The older span is unreachable now: a second end is unmatched.
+  tracer.end(newer.id, 13, "dequeued");
+  EXPECT_EQ(tracer.unmatched_ends(), 1u);
+  EXPECT_TRUE(tracer.spans()[0].open());
+}
+
+TEST(SpanLog, OpenTableMatchesAMapReference) {
+  // Thousands of ids open at once grow the open table several times;
+  // ends in random order exercise the deletions that shift probe runs
+  // back. Every end must find the span the map says it should.
+  Rng rng(77);
+  SpanTracer tracer;
+  std::map<std::uint64_t, std::size_t> open;
+  std::vector<std::uint64_t> ids;
+  std::uint64_t unmatched = 0;
+  Time now = 0;
+  for (int step = 0; step < 40'000; ++step) {
+    ++now;
+    if (rng() % 3 != 0 || ids.empty()) {
+      // Sequential and clustered ids, as the simulator makes them.
+      const std::uint64_t r = rng() % 4 == 0 ? rng() % 6'000 : step;
+      Span span = queue_span(r);
+      span.begin = now;
+      open[span.id] = tracer.spans().size();
+      ids.push_back(span.id);
+      tracer.begin(span);
+    } else {
+      const std::size_t k = rng() % ids.size();
+      const std::uint64_t id = ids[k];
+      ids[k] = ids.back();
+      ids.pop_back();
+      tracer.end(id, now, "done");
+      const auto it = open.find(id);
+      if (it == open.end()) {
+        ++unmatched;
+        continue;
+      }
+      ASSERT_EQ(tracer.spans()[it->second].end, now) << "step " << step;
+      open.erase(it);
+    }
+    ASSERT_EQ(tracer.open_count(), open.size()) << "step " << step;
+  }
+  EXPECT_EQ(tracer.unmatched_ends(), unmatched);
+  for (const auto& [id, index] : open) {
+    EXPECT_TRUE(tracer.spans()[index].open()) << id;
+  }
 }
 
 // ------------------------------------------------ attack-rate watchdog
