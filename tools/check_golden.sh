@@ -10,7 +10,8 @@
 # tests/golden/exports.sha256 instead, as are the exports of a
 # fleet-sized firewall run (4 zones x 50 servers behind the GLB, 16
 # bans), the one surface where least-loaded picks over 50-node pools,
-# the firewall's ban order and the forensics' dominant zone show. Any refactor that claims
+# the firewall's ban order and the forensics' dominant zone show, and
+# two runs without Anti-DOPE (no scheme; Shaving). Any refactor that claims
 # "performance/typing changes, results do not" (the event-core rewrite,
 # the Quantity<Dim> units migration) must keep this green: a single
 # changed byte means the arithmetic — not just the types — changed.
@@ -92,6 +93,14 @@ compare "$tmp/att-metrics.json" "$golden/engine_refactor_metrics.json"
   --attack-zone 1 --normal-rps 8000 --attack-rps 3000 --agents 16 \
   --duration-s 30 --seed 42 --spans \
   --forensics-out "$tmp/fleet-fw-forensics.json" > /dev/null
+# The two runs that install no Anti-DOPE: no control stage at all, and
+# the Shaving baseline (battery first, DVFS fallback) on the same flood.
+"$cli" --scheme none --budget low --attack-rps 400 --duration-s 60 \
+  --seed 42 --csv "$tmp/none.csv" --metrics-out "$tmp/none-metrics.json" \
+  > /dev/null
+"$cli" --scheme shaving --budget low --attack-rps 400 --duration-s 60 \
+  --seed 42 --battery-min 2 --csv "$tmp/shaving.csv" \
+  --metrics-out "$tmp/shaving-metrics.json" > /dev/null
 if ! (cd "$tmp" && sha256sum --quiet -c "$golden/exports.sha256"); then
   echo "check_golden: MISMATCH: exports.sha256" >&2
   status=1
@@ -101,5 +110,5 @@ if [[ "$status" -ne 0 ]]; then
   echo "check_golden: exports drifted from tests/golden/ captures" >&2
   exit 1
 fi
-echo "check_golden: all 13 export surfaces byte-identical" \
+echo "check_golden: all 17 export surfaces byte-identical" \
   "(detached and with the flight recorder attached)"
