@@ -1,8 +1,11 @@
 #include "common/minijson.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+
+#include "common/argv.hpp"
 
 namespace dope::minijson {
 
@@ -190,21 +193,41 @@ double as_double(const Value& value, const std::string& key) {
   if (value.kind != Value::Kind::kNumber) {
     fail("field \"" + key + "\" must be a number");
   }
-  return std::strtod(value.text.c_str(), nullptr);
+  const auto parsed = cli::to_number(value.text);
+  if (!parsed) {
+    fail("field \"" + key + "\" is not a finite number: " + value.text);
+  }
+  return *parsed;
 }
 
 std::int64_t as_i64(const Value& value, const std::string& key) {
   if (value.kind != Value::Kind::kNumber) {
     fail("field \"" + key + "\" must be an integer");
   }
-  return std::strtoll(value.text.c_str(), nullptr, 10);
+  const std::string& text = value.text;
+  const bool negative = !text.empty() && text[0] == '-';
+  const auto magnitude = cli::to_unsigned(negative ? text.substr(1) : text);
+  // -2^63 is one further from zero than 2^63 - 1.
+  const auto limit =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+      (negative ? 1 : 0);
+  if (!magnitude || *magnitude > limit) {
+    fail("field \"" + key + "\" is not a 64-bit integer: " + text);
+  }
+  // Unsigned negation wraps, and C++20 defines the conversion back.
+  return static_cast<std::int64_t>(negative ? 0 - *magnitude : *magnitude);
 }
 
 std::uint64_t as_u64_string(const Value& value, const std::string& key) {
   if (value.kind != Value::Kind::kString) {
     fail("field \"" + key + "\" must be a decimal string");
   }
-  return std::strtoull(value.text.c_str(), nullptr, 10);
+  const auto parsed = cli::to_unsigned(value.text);
+  if (!parsed) {
+    fail("field \"" + key + "\" is not an unsigned 64-bit decimal: " +
+         value.text);
+  }
+  return *parsed;
 }
 
 std::string as_string(const Value& value, const std::string& key) {

@@ -44,7 +44,10 @@ Value parse(std::string text);
 // ---- typed field access ----
 //
 // `key` is only used in error messages, so array contexts can pass a
-// descriptive pseudo-path like "weights[]".
+// descriptive pseudo-path like "weights[]". Numbers convert in full
+// (common/argv.hpp's `cli::to_number` / `cli::to_unsigned`): "1.5" or
+// "1-2" is no integer, a value out of range or not finite is an error,
+// and a seed string "-1" never wraps to 2^64 - 1.
 
 const Value& require(const Value& obj, const std::string& key);
 double as_double(const Value& value, const std::string& key);

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -136,6 +137,17 @@ scenario::SchemeKind parse_scheme_token(const std::string& token) {
   fail("unknown scheme \"" + token + "\"");
 }
 
+/// A count field (servers, sources, an index): a whole number in
+/// [0, max of T], never a negative one cast to a huge size.
+template <typename T>
+T as_count(const JsonValue& value, const std::string& key) {
+  const std::int64_t n = as_i64(value, key);
+  if (n < 0 || static_cast<std::uint64_t>(n) > std::numeric_limits<T>::max()) {
+    fail("field \"" + key + "\" is not a count: " + std::to_string(n));
+  }
+  return static_cast<T>(n);
+}
+
 std::optional<workload::Mixture> parse_mixture(const JsonValue& value) {
   if (value.kind == JsonValue::Kind::kNull) return std::nullopt;
   const JsonValue& types_json = require(value, "types");
@@ -149,8 +161,7 @@ std::optional<workload::Mixture> parse_mixture(const JsonValue& value) {
   types.reserve(types_json.items.size());
   weights.reserve(weights_json.items.size());
   for (const auto& item : types_json.items) {
-    types.push_back(
-        static_cast<workload::RequestTypeId>(as_i64(item, "types[]")));
+    types.push_back(as_count<workload::RequestTypeId>(item, "types[]"));
   }
   for (const auto& item : weights_json.items) {
     weights.push_back(as_double(item, "weights[]"));
@@ -292,8 +303,8 @@ Repro read_repro(std::istream& in) {
   const JsonValue& config = require(root, "config");
   scenario::ScenarioConfig& c = repro.fuzz_case.config;
   c.scheme = scenario::SchemeKind::kNone;  // FuzzCase invariant
-  c.num_servers = static_cast<std::size_t>(
-      as_i64(require(config, "num_servers"), "num_servers"));
+  c.num_servers =
+      as_count<std::size_t>(require(config, "num_servers"), "num_servers");
   c.budget = parse_budget_token(
       as_string(require(config, "budget"), "budget"));
   c.budget_override = Watts{
@@ -309,8 +320,8 @@ Repro read_repro(std::istream& in) {
         as_double(require(firewall, "threshold_rps"), "threshold_rps");
     fw.check_interval =
         as_i64(require(firewall, "check_interval_us"), "check_interval_us");
-    fw.required_strikes = static_cast<unsigned>(
-        as_i64(require(firewall, "required_strikes"), "required_strikes"));
+    fw.required_strikes = as_count<unsigned>(
+        require(firewall, "required_strikes"), "required_strikes");
     fw.ban_duration =
         as_i64(require(firewall, "ban_duration_us"), "ban_duration_us");
     c.firewall = fw;
@@ -330,13 +341,13 @@ Repro read_repro(std::istream& in) {
   }
 
   c.normal_rps = as_double(require(config, "normal_rps"), "normal_rps");
-  c.normal_sources = static_cast<unsigned>(
-      as_i64(require(config, "normal_sources"), "normal_sources"));
+  c.normal_sources =
+      as_count<unsigned>(require(config, "normal_sources"), "normal_sources");
   c.normal_mixture = parse_mixture(require(config, "normal_mixture"));
   c.normal_rate_plan = parse_rate_plan(require(config, "normal_rate_plan"));
   c.attack_rps = as_double(require(config, "attack_rps"), "attack_rps");
-  c.attack_agents = static_cast<unsigned>(
-      as_i64(require(config, "attack_agents"), "attack_agents"));
+  c.attack_agents =
+      as_count<unsigned>(require(config, "attack_agents"), "attack_agents");
   c.attack_mixture = parse_mixture(require(config, "attack_mixture"));
   c.attack_start =
       as_i64(require(config, "attack_start_us"), "attack_start_us");
@@ -344,8 +355,7 @@ Repro read_repro(std::istream& in) {
   c.attack_rate_plan = parse_rate_plan(require(config, "attack_rate_plan"));
   for (const auto& item : require(config, "node_outages").items) {
     scenario::NodeOutage outage;
-    outage.server = static_cast<std::size_t>(
-        as_i64(require(item, "server"), "server"));
+    outage.server = as_count<std::size_t>(require(item, "server"), "server");
     outage.at = as_i64(require(item, "at_us"), "at_us");
     outage.down = as_i64(require(item, "down_us"), "down_us");
     c.node_outages.push_back(outage);
@@ -354,25 +364,29 @@ Repro read_repro(std::istream& in) {
   // by construction.
   if (const JsonValue* site = config.find("site");
       site != nullptr && site->kind != JsonValue::Kind::kNull) {
-    c.num_zones = static_cast<std::size_t>(
-        as_i64(require(*site, "num_zones"), "num_zones"));
+    c.num_zones =
+        as_count<std::size_t>(require(*site, "num_zones"), "num_zones");
     c.glb_policy =
         parse_glb_token(as_string(require(*site, "glb"), "glb"));
     c.site_divider =
         parse_divider_token(as_string(require(*site, "divider"), "divider"));
-    c.attack_zone = static_cast<int>(
-        as_i64(require(*site, "attack_zone"), "attack_zone"));
+    const std::int64_t attack_zone =
+        as_i64(require(*site, "attack_zone"), "attack_zone");
     c.reapportion_period = as_i64(
         require(*site, "reapportion_period_us"), "reapportion_period_us");
     for (const auto& item : require(*site, "zone_weights").items) {
       c.zone_weights.push_back(as_double(item, "zone_weights[]"));
     }
     if (c.num_zones < 1) fail("num_zones must be at least 1");
-    if (c.attack_zone < -1 || c.attack_zone >= static_cast<int>(c.num_zones)) {
-      fail("attack_zone " + std::to_string(c.attack_zone) +
+    // Checked before the narrowing to int, so 2^32 never reads as zone 0.
+    if (attack_zone < -1 ||
+        attack_zone >= static_cast<std::int64_t>(c.num_zones) ||
+        attack_zone > std::numeric_limits<int>::max()) {
+      fail("attack_zone " + std::to_string(attack_zone) +
            " is outside the site's " + std::to_string(c.num_zones) +
            " zone(s)");
     }
+    c.attack_zone = static_cast<int>(attack_zone);
   }
   c.duration = as_i64(require(config, "duration_us"), "duration_us");
   c.power_sample_interval = as_i64(

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -391,6 +393,59 @@ TEST(MiniJson, NestingPastTheLimitThrows) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "json: nesting deeper than 64");
   }
+}
+
+/// `what()` of the error `read` throws on the first item of `doc`.
+template <typename Read>
+std::string json_error(const std::string& doc, Read read) {
+  const minijson::Value value = minijson::parse(doc);
+  try {
+    read(value.items.at(0));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(MiniJson, NumbersConvertInFull) {
+  const auto i64 = [](const minijson::Value& v) {
+    return minijson::as_i64(v, "n");
+  };
+  const auto dbl = [](const minijson::Value& v) {
+    return minijson::as_double(v, "n");
+  };
+  const auto u64 = [](const minijson::Value& v) {
+    return minijson::as_u64_string(v, "seed");
+  };
+  // Each of these read as a different, valid-looking value before.
+  for (const char* doc : {"[1.5]", "[1-2]", "[1e3]", "[--1]", "[-]",
+                          "[9223372036854775808]",
+                          "[-9223372036854775809]"}) {
+    EXPECT_EQ(json_error(doc, i64).rfind("json: field \"n\"", 0), 0u)
+        << doc;
+  }
+  for (const char* doc : {"[1e999]", "[1.5.2]", "[1-2]", "[-]"}) {
+    EXPECT_EQ(json_error(doc, dbl).rfind("json: field \"n\"", 0), 0u)
+        << doc;
+  }
+  for (const char* doc : {"[\"-1\"]", "[\"1.5\"]", "[\" 1\"]", "[\"\"]",
+                          "[\"0x10\"]", "[\"18446744073709551616\"]"}) {
+    EXPECT_EQ(json_error(doc, u64).rfind("json: field \"seed\"", 0), 0u)
+        << doc;
+  }
+
+  const auto first = [](const char* doc) {
+    return minijson::parse(doc).items.at(0);
+  };
+  EXPECT_EQ(i64(first("[-9223372036854775808]")),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(i64(first("[9223372036854775807]")),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(i64(first("[-7]")), -7);
+  EXPECT_EQ(i64(first("[0]")), 0);
+  EXPECT_DOUBLE_EQ(dbl(first("[-2.5e-3]")), -2.5e-3);
+  EXPECT_EQ(u64(first("[\"18446744073709551615\"]")),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Csv, WriterQuotesOnlyWhenNeeded) {
