@@ -59,19 +59,6 @@ void AntiDopeScheme::attach(cluster::Cluster& cluster) {
   }
 }
 
-void AntiDopeScheme::detach() {
-  // Every pointer below reaches into the old cluster's fleet or hub;
-  // dropping them here is what makes re-attaching to a second cluster
-  // safe (the pools and router are rebuilt in attach).
-  router_.reset();
-  classifier_.reset();
-  dpm_.reset();
-  hub_ = nullptr;
-  obs_tl_iterations_ = nullptr;
-  obs_throttle_slots_ = nullptr;
-  ControlStage::detach();
-}
-
 void AntiDopeScheme::trace_throttle(Time now, const DpmSlot& slot) const {
   obs::TraceEvent e;
   e.t = now;

@@ -58,7 +58,6 @@ class AntiDopeScheme final : public cluster::ControlStage {
 
   std::string name() const override { return "Anti-DOPE"; }
   void attach(cluster::Cluster& cluster) override;
-  void detach() override;
   net::Backend* route(const workload::Request& request) override;
   void on_slot(Time now, Duration slot) override;
 

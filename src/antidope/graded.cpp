@@ -66,13 +66,6 @@ net::Backend* GradedAntiDopeScheme::route(
   return b;
 }
 
-void GradedAntiDopeScheme::detach() {
-  dpm_.reset();
-  balancers_.clear();
-  classifier_.reset();
-  ControlStage::detach();
-}
-
 void GradedAntiDopeScheme::on_slot(Time now, Duration slot) {
   dpm_->on_slot(now, slot, *cluster_);
 }

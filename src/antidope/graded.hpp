@@ -27,7 +27,6 @@ class GradedAntiDopeScheme final : public cluster::ControlStage {
  public:
   std::string name() const override { return "Graded-Anti-DOPE"; }
   void attach(cluster::Cluster& cluster) override;
-  void detach() override;
   net::Backend* route(const workload::Request& request) override;
   void on_slot(Time now, Duration slot) override;
 

@@ -39,13 +39,6 @@ net::Backend* OracleScheme::route(const workload::Request& request) {
   return b != nullptr ? b : isolated_lb_->select(request);
 }
 
-void OracleScheme::detach() {
-  dpm_.reset();
-  isolated_lb_.reset();
-  clean_lb_.reset();
-  ControlStage::detach();
-}
-
 void OracleScheme::on_slot(Time now, Duration slot) {
   dpm_->on_slot(now, slot, *cluster_);
 }

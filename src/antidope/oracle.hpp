@@ -26,7 +26,6 @@ class OracleScheme final : public cluster::ControlStage {
 
   std::string name() const override { return "Oracle"; }
   void attach(cluster::Cluster& cluster) override;
-  void detach() override;
   net::Backend* route(const workload::Request& request) override;
   void on_slot(Time now, Duration slot) override;
 

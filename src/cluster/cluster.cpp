@@ -8,6 +8,10 @@
 
 namespace dope::cluster {
 
+ControlStage::~ControlStage() = default;
+
+void ControlStage::attach(Cluster& cluster) { cluster_ = &cluster; }
+
 const char* outcome_label(workload::RequestOutcome outcome) {
   switch (outcome) {
     case workload::RequestOutcome::kCompleted: return "completed";
@@ -33,7 +37,6 @@ Cluster::Cluster(sim::Engine& engine, const workload::Catalog& catalog,
       config_((validate(config), std::move(config))),
       data_(*this, config_),
       power_(*this, data_, config_),
-      control_(*this),
       // A zone of a multi-zone site counts outcomes only; the site's
       // recorder keeps each latency sample once.
       request_metrics_(/*keep_latency=*/config_.zone < 0) {
@@ -72,8 +75,8 @@ void Cluster::bind_obs() {
 Cluster::~Cluster() { slot_task_.stop(); }
 
 void Cluster::install_scheme(std::unique_ptr<ControlStage> scheme) {
-  DOPE_REQUIRE(scheme != nullptr, "scheme must not be null");
-  control_.install(std::move(scheme));
+  stage_ = std::move(scheme);
+  if (stage_ != nullptr) stage_->attach(*this);
 }
 
 workload::RequestSink Cluster::edge_sink() {
@@ -112,11 +115,11 @@ void Cluster::management_slot() {
   // Measurement before policy: the data plane samples the serving-side
   // series, the power plane settles the finished slot's books (and may
   // trip the breaker — the samples must land first so an incident
-  // capture sees this slot), then every control stage acts on what it
-  // measured, in installation order.
+  // capture sees this slot), then the control stage acts on what it
+  // measured.
   data_.sample_timeseries(now);
   power_.run_slot(now);
-  control_.on_slot(now, config_.slot);
+  if (stage_ != nullptr) stage_->on_slot(now, config_.slot);
 }
 
 }  // namespace dope::cluster

@@ -1,18 +1,17 @@
-// Cluster assembly: three composable planes wired onto one simulation
-// engine.
+// Cluster assembly: two composable planes and one control stage wired
+// onto one simulation engine.
 //
 //   data plane     (cluster/data_plane.hpp)   switch -> firewall -> LB ->
 //                                             server pool; the request path
 //   power plane    (cluster/power_plane.hpp)  provisioning, breaker,
 //                                             battery, energy accounting
-//   control plane  (cluster/control_plane.hpp) ordered pipeline of
-//                                             ControlStages (power-
-//                                             management schemes)
+//   control stage  (cluster/stage.hpp)        the cluster's one power-
+//                                             management scheme, or none
 //
-// The Cluster itself is the composition root: it owns the three planes,
-// the request metrics, and the management-slot periodic that drives
-// `power.run_slot` followed by `control.on_slot`. Schemes and tests reach
-// the planes through `data()` / `power()` / `control()`. The few
+// The Cluster itself is the composition root: it owns the two planes,
+// the stage, the request metrics, and the management-slot periodic that
+// drives `power.run_slot` followed by the stage's `on_slot`. Schemes and
+// tests reach the planes through `data()` / `power()`. The few
 // delegating accessors left (`servers()`, `budget()`, `battery()`,
 // `total_power()`, ...) are the ones perfbench/traced.cpp calls; removing
 // them waits for a benchmark change that migrates that file.
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "battery/battery.hpp"
-#include "cluster/control_plane.hpp"
 #include "cluster/data_plane.hpp"
 #include "cluster/power_plane.hpp"
 #include "cluster/stage.hpp"
@@ -111,11 +109,12 @@ class Cluster {
   const DataPlane& data() const { return data_; }
   PowerPlane& power() { return power_; }
   const PowerPlane& power() const { return power_; }
-  ControlPlane& control() { return control_; }
-  const ControlPlane& control() const { return control_; }
 
-  /// Installs `scheme` as the *only* control stage (replacing any
-  /// existing stack). Equivalent to `control().install(...)`.
+  /// The installed control stage; nullptr when the cluster runs none.
+  ControlStage* stage() { return stage_.get(); }
+
+  /// Makes `scheme` the cluster's control stage and attaches it; the
+  /// previous stage, if any, is destroyed first. nullptr installs none.
   void install_scheme(std::unique_ptr<ControlStage> scheme);
 
   // --- request path ---
@@ -184,11 +183,12 @@ class Cluster {
 
   // Plane construction order is load-bearing: the data plane builds the
   // fleet and edge first (nodes, switch, firewall, balancer), then the
-  // power plane sizes its battery/breaker against the fleet, then the
-  // control plane starts empty. Golden exports depend on this order.
+  // power plane sizes its battery/breaker against the fleet. Golden
+  // exports depend on this order. The stage comes after the planes so
+  // it is destroyed before the fleet it points into.
   DataPlane data_;
   PowerPlane power_;
-  ControlPlane control_;
+  std::unique_ptr<ControlStage> stage_;
 
   metrics::RequestMetrics request_metrics_;
   std::vector<workload::RecordSink> listeners_;

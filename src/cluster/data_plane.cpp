@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "cluster/cluster.hpp"
-#include "cluster/control_plane.hpp"
+#include "cluster/stage.hpp"
 #include "common/expect.hpp"
 #include "obs/hub.hpp"
 #include "obs/timeseries.hpp"
@@ -172,12 +172,12 @@ void DataPlane::ingest(workload::Request&& request) {
     drop(std::move(request), workload::RequestOutcome::kBlockedByFirewall);
     return;
   }
-  ControlPlane& control = owner_.control();
-  if (!control.admit(request)) {
+  ControlStage* stage = owner_.stage();
+  if (stage != nullptr && !stage->admit(request)) {
     drop(std::move(request), workload::RequestOutcome::kDroppedByLimit);
     return;
   }
-  net::Backend* target = control.route(request);
+  net::Backend* target = stage != nullptr ? stage->route(request) : nullptr;
   if (target != nullptr) {
     if (hub_ != nullptr) {
       obs_forwarded_scheme_->inc();

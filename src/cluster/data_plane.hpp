@@ -2,14 +2,14 @@
 //
 // Owns the request path —
 //
-//   generator -> ingest() -> switch -> firewall -> control.admit chain
-//             -> control.route chain -> (default NLB when every stage
-//             declines) -> server queue
+//   generator -> ingest() -> switch -> firewall -> stage.admit
+//             -> stage.route -> (default NLB when there is no stage or
+//             it declines) -> server queue
 //
 // — plus the objects on it: the ingress switch, the perimeter firewall,
-// the default load balancer, and the server pool. Control stages filter
-// and steer traffic *through* this plane (cluster/stage.hpp); they never
-// own edge objects themselves.
+// the default load balancer, and the server pool. The control stage
+// filters and steers traffic *through* this plane (cluster/stage.hpp);
+// it never owns edge objects itself.
 //
 // The data plane is deliberately ignorant of power provisioning: budget,
 // battery, breaker, and energy accounting live in the power plane, which
@@ -40,7 +40,6 @@ class SpanTracer;
 namespace dope::cluster {
 
 class Cluster;
-class ControlPlane;
 struct ClusterConfig;
 
 /// Edge + fleet of one cluster (zone).

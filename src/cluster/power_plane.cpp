@@ -132,7 +132,7 @@ void PowerPlane::run_slot(Time now) {
   // Energy source attribution for the finished slot: whatever the battery
   // delivered (or drew for recharge) since the previous boundary shifts
   // between the utility and battery columns. This must happen *before*
-  // the control stages act so that a discharge reserved at the start of a
+  // the control stage acts so that a discharge reserved at the start of a
   // slot is credited to that slot, not the one before it.
   Joules battery_delta{0.0};
   Joules recharge_delta{0.0};

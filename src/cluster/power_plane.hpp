@@ -6,8 +6,8 @@
 // exact integrals). Once per management slot, `run_slot` measures the
 // finished slot's average demand, settles the energy accounts, applies
 // breaker protection (a trip blacks the fleet out through the data
-// plane), and feeds the watchdog — after which the control plane's
-// stages enforce policy on what it measured.
+// plane), and feeds the watchdog — after which the cluster's control
+// stage enforces policy on what it measured.
 //
 // The budget is mutable at runtime (`set_budget`): inside a `site::Site`
 // a facility-level divider reapportions one shared budget across zones

@@ -30,7 +30,7 @@ std::unique_ptr<cluster::ControlStage> make_scheme(
     SchemeKind kind, const antidope::AntiDopeConfig& antidope_config) {
   switch (kind) {
     case SchemeKind::kNone:
-      return std::make_unique<schemes::NoScheme>();
+      return nullptr;  // no stage: the cluster never throttles
     case SchemeKind::kCapping:
       return std::make_unique<schemes::CappingScheme>();
     case SchemeKind::kShaving:

@@ -41,7 +41,8 @@ inline constexpr SchemeKind kEvaluatedSchemes[] = {
 
 std::string scheme_name(SchemeKind kind);
 
-/// Instantiates a scheme (Anti-DOPE takes its own sub-config).
+/// Instantiates a scheme (Anti-DOPE takes its own sub-config); nullptr
+/// for `kNone`, which installs no control stage.
 std::unique_ptr<cluster::ControlStage> make_scheme(
     SchemeKind kind, const antidope::AntiDopeConfig& antidope_config = {});
 

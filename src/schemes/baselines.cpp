@@ -18,18 +18,11 @@ constexpr double kBurstSeconds = 1.0;
 void CappingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
   target_ = cluster.ladder().max_level();
-  attached_ = true;
-}
-
-void CappingScheme::detach() {
-  attached_ = false;
-  ControlStage::detach();
 }
 
 void CappingScheme::on_slot(Time now, Duration slot) {
   (void)now;
   (void)slot;
-  DOPE_ASSERT(attached_);
   auto nodes = cluster_->data().servers();
   const Watts budget = cluster_->power().budget();
   const Watts demand = cluster_->data().total_power();
@@ -129,14 +122,6 @@ void TokenScheme::attach(cluster::Cluster& cluster) {
   base_refill_ = std::max(Watts{1.0}, cluster.power().budget() - idle_floor);
   bucket_ = std::make_unique<net::EnergyTokenBucket>(
       Joules{base_refill_.value() * kBurstSeconds}, base_refill_);
-}
-
-void TokenScheme::detach() {
-  // The bucket was sized from the old cluster's idle floor and budget;
-  // attach rebuilds it for the next host.
-  bucket_.reset();
-  refill_scale_ = 1.0;
-  ControlStage::detach();
 }
 
 Joules TokenScheme::request_cost(const workload::Request& request) const {

@@ -2,6 +2,7 @@
 //
 //   None     no enforcement at all — the uncapped reference used by the
 //            vulnerability-characterisation experiments (Figs. 3-5).
+//            It has no class: a cluster with no control stage is it.
 //   Capping  traditional performance-scaling-only capping: when demand
 //            exceeds the budget, the whole cluster is DVFS-throttled to
 //            the highest uniform level that fits; frequencies recover
@@ -24,27 +25,15 @@
 
 namespace dope::schemes {
 
-/// No power management: demand is never capped.
-class NoScheme final : public cluster::ControlStage {
- public:
-  std::string name() const override { return "None"; }
-  void on_slot(Time now, Duration slot) override {
-    (void)now;
-    (void)slot;
-  }
-};
-
 /// DVFS-only capping of the whole cluster.
 class CappingScheme final : public cluster::ControlStage {
  public:
   std::string name() const override { return "Capping"; }
   void attach(cluster::Cluster& cluster) override;
-  void detach() override;
   void on_slot(Time now, Duration slot) override;
 
  private:
   power::DvfsLevel target_ = 0;
-  bool attached_ = false;
 };
 
 /// Battery-first peak shaving with DVFS fallback.
@@ -67,7 +56,6 @@ class TokenScheme final : public cluster::ControlStage {
  public:
   std::string name() const override { return "Token"; }
   void attach(cluster::Cluster& cluster) override;
-  void detach() override;
   bool admit(const workload::Request& request) override;
   void on_slot(Time now, Duration slot) override;
 

@@ -26,8 +26,6 @@ void HierarchicalCappingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
   topology_.validate(cluster.data().num_servers());
   auto nodes = cluster.data().servers();
-  rack_nodes_.clear();
-  rack_target_.clear();
   for (const auto& pdu : topology_.pdus) {
     std::vector<server::ServerNode*> rack;
     for (const std::size_t s : pdu.servers) rack.push_back(nodes[s]);
@@ -43,16 +41,6 @@ void HierarchicalCappingScheme::attach(cluster::Cluster& cluster) {
     obs_rack_violations_ =
         &reg.counter("power.level_violation", {{"level", "pdu"}});
   }
-}
-
-void HierarchicalCappingScheme::detach() {
-  rack_nodes_.clear();
-  rack_target_.clear();
-  rack_clean_slots_.clear();
-  hub_ = nullptr;
-  obs_facility_violations_ = nullptr;
-  obs_rack_violations_ = nullptr;
-  ControlStage::detach();
 }
 
 void HierarchicalCappingScheme::on_slot(Time now, Duration slot) {

@@ -32,7 +32,6 @@ class HierarchicalCappingScheme final : public cluster::ControlStage {
 
   std::string name() const override { return "Hier-Capping"; }
   void attach(cluster::Cluster& cluster) override;
-  void detach() override;
   void on_slot(Time now, Duration slot) override;
 
   const power::PowerTopology& topology() const { return topology_; }

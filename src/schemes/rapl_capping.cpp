@@ -15,16 +15,9 @@ constexpr double kReleaseMargin = 0.95;
 
 void RaplCappingScheme::attach(cluster::Cluster& cluster) {
   ControlStage::attach(cluster);
-  rapl_.clear();
   for (auto* node : cluster.data().servers()) {
     rapl_.push_back(std::make_unique<server::RaplInterface>(*node));
   }
-}
-
-void RaplCappingScheme::detach() {
-  rapl_.clear();
-  capping_ = false;
-  ControlStage::detach();
 }
 
 void RaplCappingScheme::on_slot(Time now, Duration slot) {

@@ -21,7 +21,6 @@ class RaplCappingScheme final : public cluster::ControlStage {
  public:
   std::string name() const override { return "RAPL-Capping"; }
   void attach(cluster::Cluster& cluster) override;
-  void detach() override;
   void on_slot(Time now, Duration slot) override;
 
   /// True while per-node caps are active.

@@ -189,7 +189,7 @@ Site::Site(sim::Engine& engine, const workload::Catalog& catalog,
 
   // Registered after every zone's management-slot periodic, so when both
   // fire at the same instant each zone settles its books and runs its
-  // control stages before the site moves budgets.
+  // control stage before the site moves budgets.
   divider_task_ = engine_.every(config_.reapportion_period,
                                 [this] { reapportion(); });
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "cluster/cluster.hpp"
 #include "cluster/stage.hpp"
@@ -230,7 +231,7 @@ TEST_F(ClusterTest, ValidatesConfig) {
 
 TEST_F(ClusterTest, SingleServerClusterIsValid) {
   // num_servers = 1 is the edge the validation gate must let through:
-  // every plane (fleet, budget, pipeline) works with a fleet of one.
+  // every plane (fleet, budget) works with a fleet of one.
   ClusterConfig config;
   config.num_servers = 1;
   auto cluster = make_cluster(config);
@@ -240,95 +241,96 @@ TEST_F(ClusterTest, SingleServerClusterIsValid) {
   EXPECT_EQ(cluster->request_metrics().normal_counts().completed, 1u);
 }
 
-// Records its tag into a shared journal at each plug point, so the
-// pipeline's invocation order is directly observable.
-class JournalStage final : public ControlStage {
+// Counts each plug-point call and flags its own destruction, so the
+// cluster's one-stage ownership is directly observable.
+class CountingStage final : public ControlStage {
  public:
-  JournalStage(char tag, std::vector<char>& journal, bool admits = true)
-      : tag_(tag), journal_(journal), admits_(admits) {}
-  std::string name() const override { return std::string(1, tag_); }
+  struct Calls {
+    int admit = 0;
+    int route = 0;
+    int slot = 0;
+    bool destroyed = false;
+  };
+  explicit CountingStage(Calls& calls) : calls_(calls) {}
+  ~CountingStage() override { calls_.destroyed = true; }
+  std::string name() const override { return "counting"; }
   bool admit(const Request&) override {
-    journal_.push_back(tag_);
-    return admits_;
+    ++calls_.admit;
+    return true;
   }
-  void on_slot(Time, Duration) override { journal_.push_back(tag_); }
+  net::Backend* route(const Request&) override {
+    ++calls_.route;
+    return nullptr;
+  }
+  void on_slot(Time, Duration) override { ++calls_.slot; }
 
  private:
-  char tag_;
-  std::vector<char>& journal_;
-  bool admits_;
+  Calls& calls_;
 };
 
-TEST_F(ClusterTest, ControlStageOrderingIsInstallationOrder) {
-  // Two stacks differing only in order are two *different* policies: the
-  // admit chain short-circuits at the first refusal, so whether the
-  // journal sees 'c' depends on where the dropper sits.
-  auto run_stack = [this](bool counter_first) {
-    sim::Engine engine;
-    Cluster cluster(engine, catalog_, {});
-    std::vector<char> journal;
-    auto counter = std::make_unique<JournalStage>('c', journal);
-    auto dropper =
-        std::make_unique<JournalStage>('d', journal, /*admits=*/false);
-    if (counter_first) {
-      cluster.control().push_stage(std::move(counter));
-      cluster.control().push_stage(std::move(dropper));
-    } else {
-      cluster.control().push_stage(std::move(dropper));
-      cluster.control().push_stage(std::move(counter));
-    }
-    cluster.ingest(request_of(Catalog::kTextCont, engine.now()));
-    cluster.run_for(2 * kSecond);
-    return journal;
-  };
-
-  const auto counter_first = run_stack(true);
-  const auto dropper_first = run_stack(false);
-  // counter admits, dropper refuses, then two slots in install order.
-  EXPECT_EQ(counter_first, (std::vector<char>{'c', 'd', 'c', 'd', 'c', 'd'}));
-  // dropper refuses immediately; the counter never sees the request.
-  EXPECT_EQ(dropper_first, (std::vector<char>{'d', 'd', 'c', 'd', 'c'}));
-  // Each order is individually deterministic, run to run.
-  EXPECT_EQ(run_stack(true), counter_first);
-  EXPECT_EQ(run_stack(false), dropper_first);
-}
-
-TEST_F(ClusterTest, ReleasedStageReattachesWithoutDangling) {
-  // A stage handed from one cluster to another must survive the first
-  // cluster's destruction: detach() drops every cached Cluster* pointer.
-  auto first = std::make_unique<Cluster>(engine_, catalog_, ClusterConfig{});
-  auto* pin = static_cast<PinScheme*>(
-      &first->control().push_stage(std::make_unique<PinScheme>()));
-  first->run_for(2 * kSecond);
-  EXPECT_EQ(pin->slots_, 2);
-
-  std::unique_ptr<ControlStage> released = first->control().release_stage(0);
-  EXPECT_FALSE(released->attached());
-  EXPECT_TRUE(first->control().empty());
-  first.reset();  // the old cluster is gone; the stage must not care
-
-  sim::Engine second_engine;
-  Cluster second(second_engine, catalog_, ClusterConfig{});
-  second.control().push_stage(std::move(released));
-  second.ingest(request_of(Catalog::kTextCont, second_engine.now()));
-  second.run_for(2 * kSecond);
-  EXPECT_EQ(pin->slots_, 4);
-  EXPECT_EQ(second.server(0).active_count(), 0u);  // completed, not stuck
-  EXPECT_EQ(second.request_metrics().normal_counts().completed, 1u);
-}
-
-TEST_F(ClusterTest, AttachedStageRefusesASecondCluster) {
+TEST_F(ClusterTest, SecondInstallDestroysTheFirstStage) {
   auto cluster = make_cluster();
-  ControlStage& stage =
-      cluster->control().push_stage(std::make_unique<PinScheme>());
-  sim::Engine other_engine;
-  Cluster other(other_engine, catalog_, ClusterConfig{});
-  EXPECT_THROW(stage.attach(other), std::invalid_argument);
-  stage.detach();
-  EXPECT_NO_THROW(stage.attach(other));
-  // Put it back so the owning plane's teardown detach stays coherent.
-  stage.detach();
-  EXPECT_NO_THROW(stage.attach(*cluster));
+  CountingStage::Calls first;
+  CountingStage::Calls second;
+  cluster->install_scheme(std::make_unique<CountingStage>(first));
+  cluster->ingest(request_of(Catalog::kTextCont, engine_.now()));
+  cluster->run_for(2 * kSecond);
+  EXPECT_EQ(first.admit, 1);
+  EXPECT_EQ(first.route, 1);
+  EXPECT_EQ(first.slot, 2);
+  EXPECT_FALSE(first.destroyed);
+
+  auto next = std::make_unique<CountingStage>(second);
+  ControlStage* const installed = next.get();
+  cluster->install_scheme(std::move(next));
+  EXPECT_TRUE(first.destroyed);
+  EXPECT_EQ(cluster->stage(), installed);
+
+  cluster->ingest(request_of(Catalog::kTextCont, engine_.now()));
+  cluster->run_for(3 * kSecond);
+  EXPECT_EQ(second.admit, 1);
+  EXPECT_EQ(second.route, 1);
+  EXPECT_EQ(second.slot, 3);
+  EXPECT_FALSE(second.destroyed);
+  // The first stage saw nothing after it was replaced.
+  EXPECT_EQ(first.admit, 1);
+  EXPECT_EQ(first.route, 1);
+  EXPECT_EQ(first.slot, 2);
+
+  cluster.reset();  // the cluster owns its stage to the end
+  EXPECT_TRUE(second.destroyed);
+}
+
+TEST_F(ClusterTest, NoStageAdmitsAllRoutesByDefaultAndNeverThrottles) {
+  // The paper's unmanaged "None" scheme: a low budget under a heavy
+  // flood, with nothing to enforce it.
+  ClusterConfig config;
+  config.num_servers = 4;
+  config.budget_level = power::BudgetLevel::kLow;
+  auto cluster = make_cluster(config);
+  CountingStage::Calls calls;
+  cluster->install_scheme(std::make_unique<CountingStage>(calls));
+  cluster->install_scheme(nullptr);
+  EXPECT_TRUE(calls.destroyed);
+  EXPECT_EQ(cluster->stage(), nullptr);
+
+  workload::GeneratorConfig flood;
+  flood.mixture = workload::Mixture::single(Catalog::kKMeans);
+  flood.rate_rps = 600.0;
+  workload::TrafficGenerator gen(engine_, catalog_, flood,
+                                 cluster->edge_sink());
+  cluster->run_for(20 * kSecond);
+
+  const auto& counts = cluster->request_metrics().normal_counts();
+  EXPECT_GT(counts.terminal(), 0u);
+  EXPECT_EQ(counts.dropped_by_limit, 0u);  // nothing refused admission
+  for (std::size_t i = 0; i < cluster->num_servers(); ++i) {
+    // The default least-loaded balancer spread the flood over the fleet.
+    EXPECT_GT(cluster->server(i).counters().completed, 0u) << "server " << i;
+    EXPECT_EQ(cluster->server(i).level(), cluster->ladder().max_level());
+  }
+  // Demand stays above the budget every slot, and nothing throttles it.
+  EXPECT_GT(cluster->slot_stats().violation_slots, 15u);
 }
 
 TEST_F(ClusterTest, ServerIndexBoundsChecked) {

@@ -280,6 +280,9 @@ class StagePlaneRule(unittest.TestCase):
                 "cluster.servers(0).set_level(2);",
                 "cluster_->battery()->drain(j);",
                 "cluster().slot_stats();",
+                "cluster_->stage()->on_slot(t, d);",
+                "cluster.control().slot();",
+                "cluster.install_scheme(nullptr);",
             ):
                 findings = lint_snippet(
                     f"void f() {{ {expr} }}\n", rel)
@@ -291,7 +294,7 @@ class StagePlaneRule(unittest.TestCase):
             "void f() {\n"
             "  cluster.power().set_budget(w);\n"
             "  cluster_->data().lb();\n"
-            "  cluster.control().slot();\n"
+            "  cluster_->power().run_slot(t);\n"
             "  auto& e = cluster.engine();\n"
             "  cluster_->ladder().level_count();\n"
             "  if (cluster.zone() >= 0) use(cluster.config());\n"

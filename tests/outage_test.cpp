@@ -178,7 +178,6 @@ TEST(ClusterOutage, UnmanagedDopeTripsTheBreaker) {
   const auto catalog = Catalog::standard();
   cluster::Cluster cluster(engine, catalog,
                            breaker_cluster(scenario::SchemeKind::kNone));
-  cluster.install_scheme(std::make_unique<schemes::NoScheme>());
 
   workload::GeneratorConfig attack;
   attack.mixture = workload::Mixture(
@@ -208,7 +207,6 @@ TEST(ClusterOutage, ServiceRecoversAfterTheOutage) {
   const auto catalog = Catalog::standard();
   cluster::Cluster cluster(engine, catalog,
                            breaker_cluster(scenario::SchemeKind::kNone));
-  cluster.install_scheme(std::make_unique<schemes::NoScheme>());
 
   // A burst that trips the breaker, then calm traffic.
   workload::GeneratorConfig burst;

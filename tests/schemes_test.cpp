@@ -81,20 +81,6 @@ TEST(SchemeUtil, FindUniformLevelFloorsAtMin) {
             ladder.min_level());
 }
 
-// --------------------------------------------------------------- NoScheme
-
-TEST(NoScheme, NeverThrottles) {
-  Rig rig;
-  rig.cluster->install_scheme(std::make_unique<NoScheme>());
-  rig.offer(workload::Mixture::single(Catalog::kKMeans), 600.0);
-  rig.cluster->run_for(20 * kSecond);
-  for (auto* n : rig.cluster->servers()) {
-    EXPECT_EQ(n->level(), rig.cluster->ladder().max_level());
-  }
-  // Low budget + heavy flood: demand stays above budget every slot.
-  EXPECT_GT(rig.cluster->slot_stats().violation_slots, 15u);
-}
-
 // ---------------------------------------------------------------- Capping
 
 TEST(Capping, ThrottlesUnderOverload) {

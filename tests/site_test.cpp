@@ -1,5 +1,5 @@
 // Tests for the multi-zone Site: budget dividers, global load-balancer
-// policies, zone plumbing and metrics, stacked per-zone control stages,
+// policies, zone plumbing and metrics, a control stage per zone,
 // and the zone-concentrated DOPE acceptance scenario (docs/SITE.md).
 #include <gtest/gtest.h>
 
@@ -285,24 +285,22 @@ TEST_F(SiteTest, AggregateEnergySumsZoneAccounts) {
   EXPECT_GT(site->total_energy().value(), 0.0);
 }
 
-TEST_F(SiteTest, StacksAntiDopeAndHierCappingInOneZone) {
-  // Satellite of the plane refactor: two real schemes ride the same
-  // zone's control pipeline — Anti-DOPE routes and throttles its suspect
-  // pool, Hier-Capping enforces the rack PDUs behind it.
+TEST_F(SiteTest, RunsHierCappingInTheVictimZoneAndAntiDopeNextDoor) {
+  // Each zone runs its own one stage: Hier-Capping enforces the rack
+  // PDUs of the flooded zone, Anti-DOPE guards the zone next to it.
   SiteConfig config = two_zones(4);
   config.zones[0].cluster.budget_level = power::BudgetLevel::kLow;
   auto site = make_site(std::move(config));
 
   cluster::Cluster& victim = site->zone(0);
-  auto& antidope = victim.control().push_stage(
-      std::make_unique<antidope::AntiDopeScheme>());
-  victim.control().push_stage(
-      std::make_unique<schemes::HierarchicalCappingScheme>(
-          power::PowerTopology::uniform(4, 2, Watts{100.0}, 0.9, 0.8)));
-  ASSERT_EQ(victim.control().size(), 2u);
-  EXPECT_EQ(victim.control().stage(0)->name(), "Anti-DOPE");
-  EXPECT_EQ(victim.control().stage(1)->name(), "Hier-Capping");
-  EXPECT_GT(static_cast<antidope::AntiDopeScheme&>(antidope)
+  victim.install_scheme(std::make_unique<schemes::HierarchicalCappingScheme>(
+      power::PowerTopology::uniform(4, 2, Watts{100.0}, 0.9, 0.8)));
+  site->zone(1).install_scheme(std::make_unique<antidope::AntiDopeScheme>());
+  ASSERT_NE(victim.stage(), nullptr);
+  ASSERT_NE(site->zone(1).stage(), nullptr);
+  EXPECT_EQ(victim.stage()->name(), "Hier-Capping");
+  EXPECT_EQ(site->zone(1).stage()->name(), "Anti-DOPE");
+  EXPECT_GT(static_cast<antidope::AntiDopeScheme&>(*site->zone(1).stage())
                 .suspect_pool_size(),
             0u);
 
@@ -313,13 +311,13 @@ TEST_F(SiteTest, StacksAntiDopeAndHierCappingInOneZone) {
   }
   site->run_for(10 * kSecond);
 
-  // Both stages ran against live load: the PDU tree was evaluated and
-  // the heavy flood terminated one way or another.
-  const auto& hier = static_cast<const schemes::HierarchicalCappingScheme&>(
-      *site->zone(0).control().stage(1));
+  // The victim's stage ran against live load: the PDU tree was
+  // evaluated and the heavy flood terminated one way or another.
+  const auto& hier =
+      static_cast<const schemes::HierarchicalCappingScheme&>(*victim.stage());
   EXPECT_EQ(hier.last_load().pdus.size(), 2u);
   EXPECT_GT(hier.last_load().facility.rating.value(), 0.0);
-  EXPECT_GT(site->zone(0).request_metrics().total_terminal(), 0u);
+  EXPECT_GT(victim.request_metrics().total_terminal(), 0u);
 }
 
 TEST(OneZoneSite, ReducesToItsCluster) {

@@ -51,14 +51,15 @@ properties of *this* simulator's contract, not of C++:
                   Suppress only for cold-path configuration plumbing.
   stage-plane     A control stage (src/schemes, src/antidope) reaching
                   past the plane interfaces: `cluster.X` / `cluster_->X`
-                  where X is not one of the plane accessors (data, power,
-                  control), the composition-root facts stages may read
-                  (engine, catalog, config, ladder, zone), or detach.
-                  Stages are guests of the control plane (docs/MODEL.md);
-                  touching Cluster internals directly couples them to
-                  the god-object this refactor dismantled. Go through
-                  cluster.data()/.power()/.control(), or suppress with a
-                  reason where a stage legitimately needs a wider view.
+                  where X is not one of the plane accessors (data,
+                  power) or the composition-root facts stages may read
+                  (engine, catalog, config, ladder, zone). A stage is
+                  its cluster's one guest (docs/MODEL.md): touching
+                  Cluster internals directly couples it to the
+                  god-object the plane split dismantled, and reaching
+                  `stage()` reaches the stage slot itself. Go through
+                  cluster.data()/.power(), or suppress with a reason
+                  where a stage legitimately needs a wider view.
 
 Suppressions:
   // dope-lint: allow(rule[, rule...]) — reason      (this or next line)
@@ -93,17 +94,16 @@ RULES = {
 HOT_PATH_DIRS = ("src/sim", "src/server", "src/workload", "src/net")
 
 # Directories that hold control stages (ControlStage implementations and
-# the Anti-DOPE pipeline). Code here runs *inside* the control plane and
-# must see the cluster only through its plane interfaces.
+# the Anti-DOPE pipeline). Code here runs as a cluster's control stage
+# and must see the cluster only through its plane interfaces.
 STAGE_PLANE_DIRS = ("src/schemes", "src/antidope")
 
-# The members a control stage may call on a Cluster: the three plane
+# The members a control stage may call on a Cluster: the two plane
 # accessors, the composition-root facts (engine/catalog/config), the
-# cross-plane conveniences Cluster re-exports for stages (ladder), the
-# zone identity, and the stage's own lifecycle hook.
+# cross-plane conveniences Cluster re-exports for stages (ladder), and
+# the zone identity.
 STAGE_PLANE_ALLOWED = frozenset({
-    "data", "power", "control", "engine", "catalog", "config",
-    "ladder", "zone", "detach",
+    "data", "power", "engine", "catalog", "config", "ladder", "zone",
 })
 
 SUPPRESS_RE = re.compile(r"dope-lint:\s*allow\(([^)]*)\)")
@@ -351,7 +351,7 @@ def check_stage_plane(f: FileCheck, findings: list[Finding]) -> None:
                     f.path, i, "stage-plane",
                     f"control stage touches Cluster member '{member}' "
                     "directly — stages must reach state through the "
-                    "plane interfaces (data()/power()/control(); see "
+                    "plane interfaces (data()/power(); see "
                     "docs/MODEL.md) or suppress with a reason"))
             break  # one finding per line is enough
 
