@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -113,6 +114,8 @@ std::optional<double> parse_double(std::string_view s) {
   const auto* end = s.data() + s.size();
   const auto res = std::from_chars(s.data(), end, value);
   if (res.ec != std::errc{} || res.ptr != end) return std::nullopt;
+  // from_chars also reads "nan" and "inf"; no CSV field means those.
+  if (!std::isfinite(value)) return std::nullopt;
   return value;
 }
 

@@ -69,7 +69,8 @@ class CsvWriter {
   std::ostream& out_;
 };
 
-/// Parses a double, returning nullopt on malformed input.
+/// Parses a finite double, returning nullopt on malformed input and on
+/// `nan`, `inf` and `-inf`.
 std::optional<double> parse_double(std::string_view s);
 
 /// Parses a signed 64-bit integer, returning nullopt on malformed input.

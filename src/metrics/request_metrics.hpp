@@ -8,8 +8,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "common/block_log.hpp"
 #include "common/units.hpp"
 #include "workload/request.hpp"
 
@@ -35,15 +38,23 @@ struct OutcomeCounts {
 
 /// Exact latency distribution of completed requests, read in
 /// milliseconds. Each sample is 4 bytes: integer microseconds in a
-/// `uint32_t` (up to ~71.6 min); a longer latency is kept whole in a
-/// 64-bit overflow vector, and every one of those ranks above every
-/// 32-bit sample. Reads equal a `Percentiles` fed `to_millis` of the same
+/// `uint32_t` (up to ~71.6 min), kept in fixed blocks of `kBlock`
+/// samples (a `BlockLog`), so growth never copies a sample and an empty
+/// store allocates nothing. A longer latency is kept whole in a 64-bit
+/// overflow vector, and every one of those ranks above every 32-bit
+/// sample. Reads equal a `Percentiles` fed `to_millis` of the same
 /// samples: `mean()` is the insertion-order sum of those milliseconds,
-/// and `percentile()` selects the two order statistics around the rank
-/// (`std::nth_element`, nothing sorted) and interpolates between them
-/// with `Percentiles::percentile`'s formula.
+/// `min()`/`max()` are tracked by `add`, and `percentile()` finds the two
+/// order statistics around the rank by a radix select that reads the
+/// samples without moving them or allocating, then interpolates between
+/// them with `Percentiles::percentile`'s formula. Reads are `const` in
+/// fact: any order of them returns what a fresh store would.
 class LatencyStore {
  public:
+  /// Samples per block: 64 KiB, below glibc's mmap threshold, so blocks
+  /// come from the heap and later runs in the same process reuse them.
+  static constexpr std::size_t kBlock = 16384;
+
   /// `latency` in microseconds, non-negative.
   void add(Duration latency);
 
@@ -59,15 +70,15 @@ class LatencyStore {
   double max() const;
 
  private:
-  /// The k-th smallest sample; partitions the vector holding it so that
-  /// nothing after it there is smaller.
-  Duration select(std::size_t k) const;
-  /// The (k+1)-th smallest sample, read right after `select(k)`.
-  Duration select_next(std::size_t k) const;
+  /// The k-th and (k+1)-th smallest samples, k < count(); the second is
+  /// the first again when k is the last rank.
+  std::pair<Duration, Duration> order_pair(std::size_t k) const;
 
-  mutable std::vector<std::uint32_t> narrow_;
-  mutable std::vector<Duration> wide_;
+  BlockLog<std::uint32_t, kBlock> narrow_;
+  std::vector<Duration> wide_;
   double sum_ms_ = 0.0;
+  Duration min_ = std::numeric_limits<Duration>::max();
+  Duration max_ = 0;
 };
 
 /// Latency + outcome statistics for normal and attack populations.

@@ -11,7 +11,8 @@
 // seed-derived (`(seed << 40) ^ serial`), so two runs of the same
 // scenario produce identical span ids — diffable traces.
 //
-// Spans live in fixed blocks of `kSpansPerBlock` (obs/block_log.hpp):
+// Spans live in fixed blocks of `kSpansPerBlock` (`BlockLog`, shared
+// with the event log and the latency store, common/block_log.hpp):
 // growth allocates one block and never moves a span, so a `Span&` into
 // the log stays valid. The open spans are found through a flat
 // open-addressing table, so `begin`, `end` and `instant` allocate only
@@ -28,8 +29,8 @@
 #include <iosfwd>
 #include <vector>
 
+#include "common/block_log.hpp"
 #include "common/units.hpp"
-#include "obs/block_log.hpp"
 
 namespace dope::obs {
 

@@ -16,9 +16,9 @@
 // string literals (or otherwise outlive the recorder). String *values*
 // are borrowed until `record()` returns; the recorder interns each
 // distinct value once, so the caller's string may die right after.
-// Stored events are a 24-byte header each, their fields packed into
-// shared fixed blocks (`EventLog`); reading one back yields an
-// `EventView`.
+// Stored events are a 24-byte header each, kept in a `BlockLog`
+// (common/block_log.hpp), their fields packed into shared fixed blocks
+// (`EventLog`); reading one back yields an `EventView`.
 #pragma once
 
 #include <array>
@@ -36,9 +36,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/block_log.hpp"
 #include "common/expect.hpp"
 #include "common/units.hpp"
-#include "obs/block_log.hpp"
 
 namespace dope::obs {
 

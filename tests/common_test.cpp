@@ -482,6 +482,14 @@ TEST(Csv, ParseDoubleAcceptsAndRejects) {
   EXPECT_FALSE(parse_double("1.5x").has_value());
 }
 
+TEST(Csv, ParseDoubleRejectsNonFinite) {
+  for (const char* field : {"nan", "NaN", "inf", "-inf", " inf ", "-nan",
+                            "infinity", "1e400"}) {
+    EXPECT_FALSE(parse_double(field).has_value()) << field;
+  }
+  EXPECT_DOUBLE_EQ(*parse_double("1e300"), 1e300);
+}
+
 TEST(Csv, ParseIntAcceptsAndRejects) {
   EXPECT_EQ(*parse_int("-12"), -12);
   EXPECT_FALSE(parse_int("1.5").has_value());

@@ -97,6 +97,22 @@ TEST(ClusterUtilization, AveragesPerTimestamp) {
   EXPECT_DOUBLE_EQ(util[1].mean_cpu, 30.0);
 }
 
+TEST(Parser, CountsNonFiniteUtilisationAsMalformed) {
+  // from_chars reads "nan" and "inf"; a utilisation never is one.
+  std::istringstream in(
+      "0,1,10,20,30\n"
+      "300,1,nan,0.5,0.3\n"
+      "300,2,inf,0.5,0.3\n"
+      "300,3,10,-inf,0.3\n"
+      "300,4,10,20,NaN\n"
+      "600,1,11,21,31\n");
+  std::size_t bad = 0;
+  const auto records = parse_server_usage(in, &bad);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].timestamp, 600);
+  EXPECT_EQ(bad, 4u);
+}
+
 TEST(ParserV2018, ReadsMachineUsageSchema) {
   std::istringstream in(
       "m_1,10,35.5,60.2,0,0,1,2,12.5\n"
@@ -121,6 +137,23 @@ TEST(ParserV2018, ToleratesShortRowsAndMissingOptionals) {
   EXPECT_DOUBLE_EQ(records[0].mem_util, 0.0);
   EXPECT_DOUBLE_EQ(records[1].mem_util, 70.0);
   EXPECT_EQ(bad, 1u);
+}
+
+TEST(ParserV2018, CountsNonFiniteUtilisationAsMalformed) {
+  // A non-finite CPU utilisation makes the row malformed; a non-finite
+  // optional column reads as missing.
+  std::istringstream in(
+      "m_1,10,35.5\n"
+      "m_1,20,nan\n"
+      "m_2,20,-inf,60\n"
+      "m_3,20,40,inf,0,0,1,2,NaN\n");
+  std::size_t bad = 0;
+  const auto records = parse_machine_usage_v2018(in, &bad);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(bad, 2u);
+  EXPECT_EQ(records[1].machine_id, 3);
+  EXPECT_DOUBLE_EQ(records[1].mem_util, 0.0);
+  EXPECT_DOUBLE_EQ(records[1].disk_util, 0.0);
 }
 
 TEST(ParserAny, SniffsSchemaByMachinePrefix) {
